@@ -6,9 +6,9 @@ Macaulay-matrix ranks, Pfaffian generator sets, and the closed-form
 intersection-count bounds, all verified by exact linear algebra over F_p.
 """
 
-from .construct import (BlockSpec, ConstructionPair, build_linear_pair,
-                        build_uniform_pair, embed_pair, gorenstein_generators,
-                        skew_matrix_G, union_matrix)
+from .construct import (ConstructionPair, build_linear_pair, build_uniform_pair,
+                        embed_pair, gorenstein_generators, skew_matrix_G,
+                        union_matrix)
 from .formulas import (BettiShape, binom, bound_linear, bound_uniform, deg_acm,
                        expected_betti, h_vector_gorenstein, hilbert_from_resolution)
 from .harness import (SCENARIO_SEEDS, TensorViews, VerificationReport,
@@ -22,19 +22,19 @@ from .hilbert import (HilbertProfile, IdealPresentation, graded_piece_spans_equa
 from .linalg import echelon_basis, rank_modp
 from .matforms import (FormMatrix, SkewFormMatrix, degree_matrix_of, determinant,
                        maximal_minors, minor, pfaffian, principal_pfaffians)
-from .ring import (DEFAULT_PRIME, FieldSpec, Form, Monomial, PolyRing, form_add,
-                   form_eval, form_mul, is_prime, monomial_degree, random_form)
+from .ring import (DEFAULT_PRIME, FieldSpec, Form, Monomial, PolyRing, is_prime,
+                   monomial_degree, random_form)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiShape", "BlockSpec", "ConstructionPair", "DEFAULT_PRIME", "FieldSpec",
-    "Form", "FormMatrix", "HilbertProfile", "IdealPresentation", "Monomial",
+    "BettiShape", "ConstructionPair", "DEFAULT_PRIME", "FieldSpec", "Form",
+    "FormMatrix", "HilbertProfile", "IdealPresentation", "Monomial",
     "PolyRing", "SCENARIO_SEEDS", "SkewFormMatrix", "TensorViews",
     "VerificationReport", "binom", "bound_linear", "bound_uniform",
     "build_linear_pair", "build_uniform_pair", "conjecture_evidence", "deg_acm",
     "degree_matrix_of", "determinant", "echelon_basis", "embed_pair",
-    "expected_betti", "form_add", "form_eval", "form_mul", "gorenstein_generators",
+    "expected_betti", "gorenstein_generators",
     "graded_piece_spans_equal", "h_vector_from_profile", "h_vector_gorenstein",
     "hilbert_from_resolution", "hilbert_function", "ideal_piece_dim",
     "intersect_count", "is_prime", "macaulay_matrix", "maximal_minors",

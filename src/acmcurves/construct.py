@@ -20,16 +20,6 @@ from .ring import DEFAULT_PRIME, Form, PolyRing, random_form
 
 
 @dataclass(frozen=True)
-class BlockSpec:
-    """Location of a block inside a larger matrix (top-left corner + shape)."""
-
-    row0: int
-    col0: int
-    rows: int
-    cols: int
-
-
-@dataclass(frozen=True)
 class ConstructionPair:
     """The (M_small, M_big) pair with the embedded-transpose layout."""
 
@@ -38,7 +28,6 @@ class ConstructionPair:
     d: int
     m_small: FormMatrix
     m_big: FormMatrix
-    embedding: BlockSpec
 
     def __post_init__(self):
         t, r, d = self.t, self.r, self.d
@@ -47,9 +36,6 @@ class ConstructionPair:
             raise ValueError("M_small has the wrong shape")
         if (self.m_big.rows, self.m_big.cols) != (t, t + 1):
             raise ValueError("M_big has the wrong shape")
-        emb = self.embedding
-        if (emb.row0, emb.col0, emb.rows, emb.cols) != (0, r + 1, t - r + 1, t - r):
-            raise ValueError("embedding block out of place")
         for i in range(t - r + 1):
             for k in range(t - r):
                 if self.m_big.entry(i, r + 1 + k) != self.m_small.entry(k, i):
@@ -100,8 +86,7 @@ def embed_pair(m_small: FormMatrix, t: int, rng: random.Random) -> ConstructionP
             row += [zero] * tr
         ent.append(row)
     m_big = FormMatrix(ring, ent, [[d] * (t + 1) for _ in range(t)], hilbert_burch=True)
-    return ConstructionPair(t=t, r=r, d=d, m_small=m_small, m_big=m_big,
-                            embedding=BlockSpec(0, r + 1, tr + 1, tr))
+    return ConstructionPair(t=t, r=r, d=d, m_small=m_small, m_big=m_big)
 
 
 def build_uniform_pair(t: int, r: int, d: int, rng: random.Random,

@@ -96,20 +96,9 @@ class TensorViews:
 
     def reconstruct(self) -> FormMatrix:
         ring = self.m_v.ring
-        t, nv, t1 = self.dims
-        ent = []
-        for u in range(t):
-            row = []
-            for w in range(t1):
-                terms = {}
-                for v in range(nv):
-                    c = int(self.tensor[u, v, w])
-                    if c:
-                        e = [0] * nv
-                        e[v] = 1
-                        terms[tuple(e)] = c
-                row.append(Form(ring, 1, terms))
-            ent.append(row)
+        t, _, t1 = self.dims
+        ent = [[Form(ring, 1, self.tensor[u, :, w] % ring.p) for w in range(t1)]
+               for u in range(t)]
         return FormMatrix(ring, ent, [[1] * t1 for _ in range(t)])
 
 
@@ -129,8 +118,14 @@ def intersect_count(a: FormMatrix, b: FormMatrix,
     """
     if a.ring != b.ring:
         raise ValueError("matrices live in different rings")
-    gens = tuple(f for f in maximal_minors(a) + maximal_minors(b) if not f.is_zero)
-    ideal = IdealPresentation(ring=a.ring, generators=gens)
+    return _count_intersection(maximal_minors(a) + maximal_minors(b), a.ring, cutoff)
+
+
+def _count_intersection(forms: list[Form], ring: PolyRing,
+                        cutoff: int | None = None) -> tuple[int | None, HilbertProfile]:
+    """Stabilized Hilbert value and profile of the ideal of the nonzero forms;
+    the default cutoff is the sum of the two largest degrees plus 4."""
+    ideal = IdealPresentation(ring=ring, generators=tuple(f for f in forms if not f.is_zero))
     if cutoff is None:
         cutoff = _two_largest_degrees(ideal) + 4
     profile = hilbert_function(ideal, cutoff, stop_at_stabilization=True)
@@ -278,9 +273,9 @@ def tensor_views(m: FormMatrix) -> TensorViews:
     tensor = np.zeros((t, 4, t1), dtype=np.int64)
     for u in range(t):
         for w in range(t1):
-            for mono, c in m.entry(u, w).terms.items():
-                v = mono.index(1)
-                tensor[u, v, w] = c
+            e = m.entry(u, w)
+            if not e.is_zero:
+                tensor[u, :, w] = e.coeffs  # the degree-1 basis is x_0, ..., x_3
     m_u = np.transpose(tensor, (1, 2, 0)).copy()  # [v, w, u]: entries in the row space
     m_w = np.transpose(tensor, (1, 0, 2)).copy()  # [v, u, w]: entries in the column space
     return TensorViews(dims=(t, 4, t1), tensor=tensor, m_v=m, m_u=m_u, m_w=m_w)
@@ -297,15 +292,6 @@ def _twisted_cubic_matrix(ring: PolyRing) -> FormMatrix:
 def _mixed_degree_matrix(ring: PolyRing, rng: random.Random) -> FormMatrix:
     ent = [[random_form(dd, ring, rng) for dd in (3, 2, 1)] for _ in range(2)]
     return FormMatrix(ring, ent, [[3, 2, 1], [3, 2, 1]])
-
-
-def _count_intersection(a_gens: tuple[Form, ...], b_gens: tuple[Form, ...],
-                        ring: PolyRing) -> int | None:
-    gens = tuple(f for f in a_gens + b_gens if not f.is_zero)
-    ideal = IdealPresentation(ring=ring, generators=gens)
-    cutoff = _two_largest_degrees(ideal) + 4
-    profile = hilbert_function(ideal, cutoff, stop_at_stabilization=True)
-    return profile.degree
 
 
 def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
@@ -351,12 +337,12 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
         report.expected_degree = 2 * d**3
     else:  # ex-mixed
         m_d = _mixed_degree_matrix(ring, rng)
-        d_gens = tuple(maximal_minors(m_d))
-        ci_a = (m_d.entry(0, 0), m_d.entry(1, 0))
-        count_a = _count_intersection(ci_a, d_gens, ring)
+        d_gens = maximal_minors(m_d)
+        ci_a = [m_d.entry(0, 0), m_d.entry(1, 0)]
+        count_a, _ = _count_intersection(ci_a + d_gens, ring)
         cubic = minor(m_d, [0, 1], [1, 2])
-        ci_b = (cubic, random_form(3, ring, rng))
-        count_b = _count_intersection(ci_b, d_gens, ring)
+        ci_b = [cubic, random_form(3, ring, rng)]
+        count_b, _ = _count_intersection(ci_b + d_gens, ring)
         report.cases = {
             "caseA": {"observed": count_a, "expected": 17},
             "caseB": {"observed": count_b, "expected": 33},

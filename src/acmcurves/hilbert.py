@@ -71,13 +71,11 @@ def macaulay_matrix(ideal: IdealPresentation, d: int) -> np.ndarray:
         k = d - g.degree
         if k < 0:
             continue
-        mult = ring.exps(k)
-        gexp = np.array(list(g.terms.keys()), dtype=np.int64)
-        gcoef = np.fromiter(g.terms.values(), dtype=np.int64, count=len(g.terms))
-        sums = mult[:, None, :] + gexp[None, :, :]
-        idx = ring.index_of_exps(d, sums.reshape(-1, ring.nvars)).reshape(len(mult), len(gexp))
-        block = np.zeros((len(mult), ncols), dtype=np.int64)
-        block[np.arange(len(mult))[:, None], idx] = gcoef[None, :]
+        # built per call: caching these tables, unlike the small product
+        # tables of mul_index, raises the peak memory of long sweeps
+        idx = ring.product_positions(k, g.degree)
+        block = np.zeros((len(idx), ncols), dtype=np.int64)
+        block[np.arange(len(idx))[:, None], idx] = g.coeffs[None, :]
         blocks.append(block)
     if not blocks:
         return np.zeros((0, ncols), dtype=np.int64)
@@ -168,7 +166,7 @@ def minimal_generator_degrees(ideal: IdealPresentation) -> dict[int, int]:
         shifted = _shift_basis(ring, basis, d - 1)
         basis_shift = echelon_basis(shifted, p) if shifted.size else shifted.reshape(0, ring.dim(d))
         dim_shift = basis_shift.shape[0]
-        gens_d = [g.coefficient_vector() for g in ideal.generators if g.degree == d]
+        gens_d = [g.coeffs for g in ideal.generators if g.degree == d]
         if gens_d:
             stacked = np.vstack([basis_shift, np.array(gens_d, dtype=np.int64)])
             basis = echelon_basis(stacked, p)
@@ -187,9 +185,9 @@ def _shift_basis(ring: PolyRing, basis: np.ndarray, d_from: int) -> np.ndarray:
     if k == 0:
         return np.zeros((0, ncols), dtype=np.int64)
     out = np.zeros((ring.nvars * k, ncols), dtype=np.int64)
+    shifts = ring.mul_index(1, d_from)  # row v: multiplication by x_v
     for v in range(ring.nvars):
-        idx = ring.shift_index(d_from, v)
-        out[v * k:(v + 1) * k, idx] = basis
+        out[v * k:(v + 1) * k, shifts[v]] = basis
     return out
 
 

@@ -16,7 +16,7 @@ from .ring import Form, PolyRing
 
 
 def form_to_pairs(f: Form) -> list:
-    return [[int(f.terms[m]), list(m)] for m in sorted(f.terms)]
+    return [[c, list(m)] for m, c in sorted(f.terms.items())]
 
 
 def form_from_pairs(ring: PolyRing, degree: int, pairs) -> Form:

@@ -5,11 +5,12 @@ right-looking blocked Gaussian elimination: pivots are found and eliminated
 panel by panel with vectorized integer ops, and the trailing columns are
 then updated with float64 matrix products, which BLAS makes fast.
 
-Exactness of the float64 products: the modulus is capped at 2**31 here but
-the blocked path additionally requires p < 2**15.5 (e.g. the default 32003),
-so an inner product of panel width k <= 64 terms is bounded by
-64 * (p-1)**2 < 2**53 and every intermediate is an exactly representable
-integer. Larger moduli fall back to the plain per-pivot elimination.
+Exactness of the float64 products: every operand is reduced into [0, p),
+so an inner product over a panel of at most `block` columns is bounded by
+block * (p-1)**2. The blocked path runs only while that bound is below
+2**53 (with the default block of 64, for p below about 1.2e7), so every
+intermediate is an exactly representable integer. Larger moduli fall back
+to the plain per-pivot elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 _BLOCK = 64
-_EXACT_P_LIMIT = 46341  # block * (p-1)**2 must stay below 2**53
 
 
 def _eliminate(a: np.ndarray, p: int, block: int) -> int:
@@ -110,7 +110,7 @@ def _reduce(a, p: int, block: int) -> tuple[np.ndarray, int]:
     if a.size == 0:
         return a, 0
     a %= p
-    if p < _EXACT_P_LIMIT:
+    if block * (p - 1) ** 2 < 2**53:
         rank = _eliminate(a, p, block)
     else:
         rank = _eliminate_simple(a, p)

@@ -1,10 +1,11 @@
 """Exact arithmetic for homogeneous multivariate forms over a prime field.
 
-A form is a sparse map from exponent vectors to nonzero coefficients in F_p,
-together with a declared degree. All monomials in the map have exactly that
-degree; the zero form is the empty map with an arbitrary declared degree.
-The ring context (modulus, number of variables) also caches monomial bases
-per degree, which the Macaulay-matrix machinery leans on heavily.
+A form of degree d is a dense coefficient vector over the ring's degree-d
+monomial basis, with entries in [0, p). The zero form is the all-zero vector
+of any declared degree. The ring context (modulus, number of variables)
+caches the monomial bases per degree and the index tables that place the
+product of two basis monomials; form products and the Macaulay-matrix
+machinery both build their positions from those tables.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def _gen_monomials(degree: int, nvars: int) -> Iterator[Monomial]:
 class PolyRing:
     """Context for F_p[x_0, ..., x_{nvars-1}] restricted to homogeneous pieces.
 
-    Instances cache, per degree: the monomial basis (in a fixed generation
-    order), its exponent matrix as a numpy array, and a sorted code table used
-    to map exponent vectors back to basis positions.
+    Instances cache, per degree, the monomial basis (in a fixed generation
+    order), its exponent matrix as a numpy array and the sorted codes used to
+    map exponent vectors back to basis positions; and, per pair of degrees,
+    the product index table of mul_index.
     """
 
     def __init__(self, p: int = DEFAULT_PRIME, nvars: int = 4):
@@ -90,8 +92,8 @@ class PolyRing:
         self.nvars = nvars
         self._monomials: dict[int, tuple[Monomial, ...]] = {}
         self._exps: dict[int, np.ndarray] = {}
-        self._codes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._shift: dict[tuple[int, int], np.ndarray] = {}
+        self._codes: dict[int, np.ndarray] = {}
+        self._mul: dict[tuple[int, int], np.ndarray] = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyRing) and (self.p, self.nvars) == (other.p, other.nvars)
@@ -125,12 +127,16 @@ class PolyRing:
             self._exps[degree] = got
         return got
 
-    def _code_table(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    def _sorted_codes(self, degree: int) -> np.ndarray:
+        """Codes of the degree-d basis in ascending order.
+
+        The basis is generated in descending lexicographic order and the code
+        is big-endian in the exponents, so this is the basis order reversed.
+        """
         got = self._codes.get(degree)
         if got is None:
-            codes = self._encode(self.exps(degree))
-            order = np.argsort(codes)
-            self._codes[degree] = got = (codes[order], order)
+            got = self._encode(self.exps(degree))[::-1].copy()
+            self._codes[degree] = got
         return got
 
     def _encode(self, exps: np.ndarray) -> np.ndarray:
@@ -141,58 +147,68 @@ class PolyRing:
             code = code * _CODE_RADIX + exps[..., v]
         return code
 
+    def _positions(self, degree: int, codes: np.ndarray) -> np.ndarray:
+        asc = self._sorted_codes(degree)
+        return len(asc) - 1 - np.searchsorted(asc, codes)
+
     def index_of_exps(self, degree: int, exps: np.ndarray) -> np.ndarray:
         """Positions of the given exponent rows in the degree-d basis."""
-        sorted_codes, order = self._code_table(degree)
-        pos = np.searchsorted(sorted_codes, self._encode(exps))
-        return order[pos]
+        return self._positions(degree, self._encode(exps))
 
-    def shift_index(self, degree: int, var: int) -> np.ndarray:
-        """Index map for multiplication by x_var: degree-d basis into degree-(d+1)."""
-        key = (degree, var)
-        got = self._shift.get(key)
+    def product_positions(self, a: int, b: int) -> np.ndarray:
+        """Table T of shape (dim(a), dim(b)): basis monomial i of degree a times
+        basis monomial j of degree b is basis monomial T[i, j] of degree a + b.
+
+        Codes add like exponent vectors (no digit reaches the radix, which
+        encoding the degree a + b basis checks), so T is one lookup.
+        """
+        codes = self._sorted_codes(a)[::-1, None] + self._sorted_codes(b)[None, ::-1]
+        return self._positions(a + b, codes)
+
+    def mul_index(self, a: int, b: int) -> np.ndarray:
+        """product_positions(a, b), cached: the table behind every form product."""
+        got = self._mul.get((a, b))
         if got is None:
-            shifted = self.exps(degree).copy()
-            shifted[:, var] += 1
-            got = self.index_of_exps(degree + 1, shifted)
-            self._shift[key] = got
+            got = self.product_positions(a, b)
+            self._mul[(a, b)] = got
         return got
 
     # ---- form constructors ----
 
     def form(self, degree: int, terms: dict | Iterable = ()) -> Form:
-        """Build a form, normalizing coefficients mod p and dropping zeros."""
+        """Build a form from (exponent vector, coefficient) pairs, summing
+        repeated monomials mod p."""
         items = terms.items() if isinstance(terms, dict) else terms
-        clean: dict[Monomial, int] = {}
+        monos, coefs = [], []
         for mono, coef in items:
             mono = tuple(int(e) for e in mono)
             if len(mono) != self.nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono}")
             if monomial_degree(mono) != degree:
                 raise ValueError(f"monomial {mono} has degree {monomial_degree(mono)}, expected {degree}")
-            c = (clean.get(mono, 0) + int(coef)) % self.p
-            if c:
-                clean[mono] = c
-            elif mono in clean:
-                del clean[mono]
-        return Form(self, degree, clean)
+            monos.append(mono)
+            coefs.append(int(coef) % self.p)
+        coeffs = np.zeros(self.dim(degree), dtype=np.int64)
+        if monos:
+            np.add.at(coeffs, self.index_of_exps(degree, np.array(monos, dtype=np.int64)), coefs)
+            coeffs %= self.p
+        return Form(self, degree, coeffs)
 
     def zero(self, degree: int = 0) -> Form:
-        return Form(self, degree, {})
+        return Form(self, degree, np.zeros(self.dim(degree), dtype=np.int64))
 
     def one(self) -> Form:
-        return Form(self, 0, {(0,) * self.nvars: 1})
+        return self.constant(1)
 
     def constant(self, c: int) -> Form:
-        c %= self.p
-        return Form(self, 0, {(0,) * self.nvars: c} if c else {})
+        return Form(self, 0, np.array([c % self.p], dtype=np.int64))
 
     def variable(self, i: int) -> Form:
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
-        e = [0] * self.nvars
-        e[i] = 1
-        return Form(self, 1, {tuple(e): 1})
+        coeffs = np.zeros(self.nvars, dtype=np.int64)
+        coeffs[i] = 1  # the degree-1 basis is x_0, ..., x_{nvars-1}
+        return Form(self, 1, coeffs)
 
     def monomial(self, exps: Sequence[int], coef: int = 1) -> Form:
         return self.form(sum(exps), [(tuple(exps), coef)])
@@ -201,41 +217,49 @@ class PolyRing:
 class Form:
     """Homogeneous polynomial over F_p, immutable once built.
 
-    Use PolyRing.form / .variable / .monomial to construct; the raw
-    constructor assumes already-normalized terms.
+    coeffs is a read-only int64 vector with one entry in [0, p) per monomial
+    of ring.monomials(degree). Use PolyRing.form / .variable / .monomial to
+    construct; the raw constructor takes ownership of an already-reduced
+    vector.
     """
 
-    __slots__ = ("ring", "degree", "terms")
+    __slots__ = ("ring", "degree", "coeffs", "is_zero")
 
-    def __init__(self, ring: PolyRing, degree: int, terms: dict):
+    def __init__(self, ring: PolyRing, degree: int, coeffs: np.ndarray):
         if degree < 0:
             raise ValueError("degree must be non-negative")
+        coeffs.setflags(write=False)
         self.ring = ring
         self.degree = degree
-        self.terms = terms
+        self.coeffs = coeffs
+        self.is_zero = not coeffs.any()
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def terms(self) -> dict[Monomial, int]:
+        """The nonzero coefficients as a fresh {exponent vector: coefficient} map."""
+        monos = self.ring.monomials(self.degree)
+        nz = np.flatnonzero(self.coeffs)
+        return dict(zip([monos[i] for i in nz], self.coeffs[nz].tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
         if self.ring != other.ring:
             return False
-        if not self.terms and not other.terms:
+        if self.is_zero and other.is_zero:
             return True  # zero forms compare equal whatever their declared degree
-        return self.degree == other.degree and self.terms == other.terms
+        return self.degree == other.degree and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        if self.is_zero:
+            return hash(self.ring)
+        return hash((self.ring, self.degree, self.coeffs.tobytes()))
 
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"
         bits = []
-        for mono in sorted(self.terms, reverse=True):
-            c = self.terms[mono]
+        for mono, c in self.terms.items():  # the basis order: descending lex
             pos = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(mono) if e)
             bits.append(f"{c}*{pos}" if pos else str(c))
         return " + ".join(bits)
@@ -249,19 +273,10 @@ class Form:
             return self
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        p = self.ring.p
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = (out.get(mono, 0) + c) % p
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return Form(self.ring, self.degree, out)
+        return Form(self.ring, self.degree, (self.coeffs + other.coeffs) % self.ring.p)
 
     def __neg__(self) -> Form:
-        p = self.ring.p
-        return Form(self.ring, self.degree, {m: p - c for m, c in self.terms.items()})
+        return Form(self.ring, self.degree, -self.coeffs % self.ring.p)
 
     def __sub__(self, other: Form) -> Form:
         return self + (-other)
@@ -271,70 +286,40 @@ class Form:
             return self.scale(other)
         if self.ring != other.ring:
             raise ValueError("forms live in different rings")
+        ring = self.ring
         deg = self.degree + other.degree
         if self.is_zero or other.is_zero:
-            return Form(self.ring, deg, {})
-        p = self.ring.p
-        out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(a + b for a, b in zip(ma, mb))
-                s = (out.get(mono, 0) + ca * cb) % p
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
-        return Form(self.ring, deg, out)
+            return ring.zero(deg)
+        # Products are reduced below 2**31 before the scatter-add and each
+        # output slot sums at most min(dim a, dim b) of them, so the float64
+        # accumulator of bincount stays below 2**53, hence exact, for every
+        # p < 2**31 until a factor has 2**22 monomials (a table far too big
+        # to build).
+        prods = np.multiply.outer(self.coeffs, other.coeffs) % ring.p
+        idx = ring.mul_index(self.degree, other.degree)
+        acc = np.bincount(idx.ravel(), weights=prods.ravel(), minlength=ring.dim(deg))
+        return Form(ring, deg, acc.astype(np.int64) % ring.p)
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> Form:
         c %= self.ring.p
         if c == 0:
-            return Form(self.ring, self.degree, {})
+            return self.ring.zero(self.degree)
         if c == 1:
             return self
-        p = self.ring.p
-        return Form(self.ring, self.degree, {m: co * c % p for m, co in self.terms.items()})
+        return Form(self.ring, self.degree, self.coeffs * c % self.ring.p)
 
     def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.ring.nvars:
             raise ValueError(f"point has {len(point)} coordinates, ring has {self.ring.nvars}")
         p = self.ring.p
-        total = 0
-        for mono, c in self.terms.items():
-            v = c
-            for x, e in zip(point, mono):
-                if e:
-                    v = v * pow(int(x), e, p) % p
-            total = (total + v) % p
-        return total
-
-    def coefficient_vector(self) -> np.ndarray:
-        """Dense coefficients against the ring's degree-d monomial basis."""
-        vec = np.zeros(self.ring.dim(self.degree), dtype=np.int64)
-        if self.terms:
-            exps = np.array(list(self.terms.keys()), dtype=np.int64)
-            idx = self.ring.index_of_exps(self.degree, exps)
-            vec[idx] = list(self.terms.values())
-        return vec
-
-
-# ---- operation-style entry points ----
-
-def form_add(a: Form, b: Form) -> Form:
-    """Sum of two forms; degrees must agree unless one operand is zero."""
-    return a + b
-
-
-def form_mul(a: Form, b: Form) -> Form:
-    """Product form, of degree a.degree + b.degree."""
-    return a * b
-
-
-def form_eval(f: Form, point: Sequence[int]) -> int:
-    """Value of f at a point with coordinates in F_p."""
-    return f.evaluate(point)
+        exps = self.ring.exps(self.degree)
+        vals = self.coeffs
+        for v, x in enumerate(point):
+            powers = np.array([pow(int(x), e, p) for e in range(self.degree + 1)], dtype=np.int64)
+            vals = vals * powers[exps[:, v]] % p
+        return int(vals.sum() % p)
 
 
 def random_form(degree: int, ring: PolyRing, rng: random.Random) -> Form:
@@ -345,9 +330,5 @@ def random_form(degree: int, ring: PolyRing, rng: random.Random) -> Form:
     """
     if degree < 1:
         raise ValueError("random forms must have degree >= 1")
-    terms = {}
-    for mono in ring.monomials(degree):
-        c = rng.randrange(ring.p)
-        if c:
-            terms[mono] = c
-    return Form(ring, degree, terms)
+    coeffs = np.array([rng.randrange(ring.p) for _ in range(ring.dim(degree))], dtype=np.int64)
+    return Form(ring, degree, coeffs)

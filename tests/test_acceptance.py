@@ -25,7 +25,7 @@ from acmcurves.hilbert import IdealPresentation, hilbert_function
 from acmcurves.jsonio import dumps, report_to_doc
 from acmcurves.matforms import (FormMatrix, determinant, maximal_minors, pfaffian,
                                 SkewFormMatrix)
-from acmcurves.ring import PolyRing, form_eval, random_form
+from acmcurves.ring import PolyRing, random_form
 
 GRID = [(t, r) for t in range(2, 8) for r in range(1, t)]
 UNIFORM_GRID = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2)]
@@ -150,8 +150,8 @@ def test_criterion_6_rational_point_oracle():
             count, points = rational_point_oracle(gens, q)
             small = maximal_minors(pair.m_small)
             big = maximal_minors(pair.m_big)
-            on_both = all(all(form_eval(m, pt) == 0 for m in small)
-                          and all(form_eval(m, pt) == 0 for m in big)
+            on_both = all(all(m.evaluate(pt) == 0 for m in small)
+                          and all(m.evaluate(pt) == 0 for m in big)
                           for pt in points)
             if not (on_both and count <= bound_linear(t, r)):
                 failures.append((q, t, r, count))

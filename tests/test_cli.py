@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from acmcurves.cli import main
 
@@ -140,3 +143,23 @@ class TestScenario:
         _, out, _ = run_cli(capsys, "--pretty", "scenario", "--id", "ex-11")
         assert "\n  " in out
         json.loads(out)
+
+
+# sha256 of stdout, recorded before forms became dense coefficient vectors;
+# the representation must not change a single output byte.
+GOLDEN_STDOUT = [
+    (("construct", "--t", "4", "--r", "2", "--seed", "3"),
+     "91d9fe1878abb67d993565e7ca3048500e9e14cd46a6a53c53a7c05f376ec02b"),
+    (("verify", "--t", "5", "--r", "2", "--seed", "1"),
+     "4f63af0ce5befd2f3f61b5217f494708c709dde0949f41dfdd4cac101380517d"),
+    (("scenario", "--id", "ex-2d3", "--d", "3"),
+     "baa98a5b9d17f83f1d6347358bf84855365d98b864514cc604dfe3675347da97"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[a[0] for a, _ in GOLDEN_STDOUT])
+def test_golden_stdout(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("ACMCURVES_PRIME", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

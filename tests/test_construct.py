@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from acmcurves.construct import (build_linear_pair, build_uniform_pair, embed_pair,
-                                 gorenstein_generators, skew_matrix_G, union_matrix)
+from acmcurves.construct import (ConstructionPair, build_linear_pair, build_uniform_pair,
+                                 embed_pair, gorenstein_generators, skew_matrix_G,
+                                 union_matrix)
 from acmcurves.matforms import FormMatrix
 from acmcurves.ring import PolyRing
 
@@ -35,10 +36,13 @@ class TestLayout:
         assert (pair.m_small.rows, pair.m_small.cols) == (1, 2)
         assert (pair.m_big.rows, pair.m_big.cols) == (2, 3)
 
-    def test_embedding_record(self):
+    def test_rejects_misplaced_block(self):
         pair = build_linear_pair(4, 2, random.Random(2))
-        emb = pair.embedding
-        assert (emb.row0, emb.col0, emb.rows, emb.cols) == (0, 3, 3, 2)
+        ent = [list(row) for row in pair.m_big.entries]
+        ent[0][3], ent[0][2] = ent[0][2], ent[0][3]  # a free-block entry into the embedded block
+        shifted = FormMatrix(pair.m_big.ring, ent)
+        with pytest.raises(ValueError, match="embedded block"):
+            ConstructionPair(t=4, r=2, d=1, m_small=pair.m_small, m_big=shifted)
 
     @pytest.mark.parametrize("t,r,d", [(2, 1, 3), (3, 1, 2), (3, 2, 2)])
     def test_uniform_degrees(self, t, r, d):

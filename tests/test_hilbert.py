@@ -51,7 +51,7 @@ class TestPieceDim:
         row = 0
         for g in gens:
             for mono in ring.monomials(d - g.degree):
-                expect = (ring.monomial(mono) * g).coefficient_vector()
+                expect = (ring.monomial(mono) * g).coeffs
                 assert list(mat[row]) == list(expect)
                 row += 1
         assert row == mat.shape[0]

@@ -56,6 +56,15 @@ def test_rank_small_blocks_agree():
     assert r_fast == rank_modp(a, p, block=64) == naive_rank(a, p)
 
 
+def test_blocked_path_at_large_modulus():
+    # 16 * (p-1)**2 < 2**53 admits the blocked path; 140 columns span 9 panels
+    p = 1000003
+    rng = np.random.default_rng(10)
+    a = rng.integers(0, p, size=(90, 140))
+    a[60:80] = (5 * a[0:20]) % p
+    assert rank_modp(a, p, block=16) == rank_modp(a, p) == naive_rank(a, p) == 70
+
+
 def test_large_modulus_path():
     p = 2147483629  # prime near 2**31: takes the non-blocked path
     rng = np.random.default_rng(7)

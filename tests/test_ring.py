@@ -2,13 +2,32 @@ import random
 
 import pytest
 
-from acmcurves.ring import (FieldSpec, PolyRing, form_add, form_eval,
-                            form_mul, is_prime, random_form)
+from acmcurves.ring import FieldSpec, PolyRing, is_prime, random_form
 
 
 @pytest.fixture
 def ring():
     return PolyRing()
+
+
+def schoolbook_product(f, g):
+    """Reference product: the term-by-term dict loop over exponent tuples."""
+    p = f.ring.p
+    out = {}
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            s = (out.get(mono, 0) + ca * cb) % p
+            if s:
+                out[mono] = s
+            elif mono in out:
+                del out[mono]
+    return out
+
+
+def random_terms(ring, degree, rng):
+    """Uniform coefficients on every monomial, degree 0 included."""
+    return [(m, rng.randrange(ring.p)) for m in ring.monomials(degree)]
 
 
 def vars4(ring):
@@ -37,7 +56,7 @@ class TestFormAdd:
 
     def test_two_terms(self, ring):
         x0, x1 = ring.variable(0), ring.variable(1)
-        s = form_add(x0, x1)
+        s = x0 + x1
         assert len(s.terms) == 2
         assert s.degree == 1
 
@@ -45,60 +64,77 @@ class TestFormAdd:
         x0, x1 = ring.variable(0), ring.variable(1)
         f = x0 * x0 + x1 * x1
         g = (x1 * x1).scale(ring.p - 1)
-        assert form_add(f, g) == x0 * x0
+        assert f + g == x0 * x0
 
     def test_degree_mismatch_raises(self, ring):
         x0 = ring.variable(0)
         with pytest.raises(ValueError):
-            form_add(x0, x0 * x0)
+            x0 + x0 * x0
 
     def test_zero_operand_any_degree(self, ring):
         x0 = ring.variable(0)
-        assert form_add(ring.zero(5), x0) == x0
-        assert form_add(x0, ring.zero(17)) == x0
+        assert ring.zero(5) + x0 == x0
+        assert x0 + ring.zero(17) == x0
 
 
 class TestFormMul:
     def test_difference_of_squares(self, ring):
         x0, x1 = ring.variable(0), ring.variable(1)
-        prod = form_mul(x0 + x1, x0 - x1)
+        prod = (x0 + x1) * (x0 - x1)
         assert prod == x0 * x0 - x1 * x1
 
     def test_zero_absorbs(self, ring):
         f = ring.variable(0) * ring.variable(2)
-        z = form_mul(ring.zero(3), f)
+        z = ring.zero(3) * f
         assert z.is_zero
         assert z.degree == 5
 
     def test_monomial_product(self, ring):
         x = vars4(ring)
-        assert form_mul(x[0], x[1] * x[2]) == ring.monomial((1, 1, 1, 0))
+        assert x[0] * (x[1] * x[2]) == ring.monomial((1, 1, 1, 0))
 
     def test_degree_adds(self, ring):
         rng = random.Random(0)
         f = random_form(2, ring, rng)
         g = random_form(3, ring, rng)
-        assert form_mul(f, g).degree == 5
+        assert (f * g).degree == 5
+
+    @pytest.mark.parametrize("p", [7, 32003, 2147483629])
+    def test_matches_schoolbook(self, p):
+        ring = PolyRing(p)
+        rng = random.Random(p)
+        for da in range(7):
+            for db in range(7):
+                f = ring.form(da, random_terms(ring, da, rng))
+                g = ring.form(db, random_terms(ring, db, rng))
+                prod = f * g
+                assert prod.degree == da + db
+                assert prod.terms == schoolbook_product(f, g)
+
+    def test_sparse_factors_match_schoolbook(self, ring):
+        f = ring.form(3, [((3, 0, 0, 0), 5), ((0, 1, 0, 2), ring.p - 1)])
+        g = ring.form(2, [((0, 0, 1, 1), 7)])
+        assert (f * g).terms == schoolbook_product(f, g)
 
 
 class TestFormEval:
     def test_quadric_vanishing(self, ring):
         x = vars4(ring)
         f = x[0] * x[2] - x[1] * x[1]
-        assert form_eval(f, (1, 1, 1, 0)) == 0
+        assert f.evaluate((1, 1, 1, 0)) == 0
 
     def test_homogeneous_at_origin(self, ring):
         f = random_form(3, ring, random.Random(1))
-        assert form_eval(f, (0, 0, 0, 0)) == 0
+        assert f.evaluate((0, 0, 0, 0)) == 0
 
     def test_cube_mod_7(self):
         ring = PolyRing(7)
         f = ring.monomial((3, 0, 0, 0))
-        assert form_eval(f, (2, 0, 0, 0)) == 1  # 8 mod 7
+        assert f.evaluate((2, 0, 0, 0)) == 1  # 8 mod 7
 
     def test_length_mismatch(self, ring):
         with pytest.raises(ValueError):
-            form_eval(ring.variable(0), (1, 2))
+            ring.variable(0).evaluate((1, 2))
 
 
 class TestRandomForm:
@@ -144,9 +180,9 @@ class TestRingAxioms:
             f = random_form(rng.randrange(1, 4), ring, rng)
             g = random_form(rng.randrange(1, 4), ring, rng)
             pt = tuple(rng.randrange(ring.p) for _ in range(4))
-            assert form_eval(f * g, pt) == form_eval(f, pt) * form_eval(g, pt) % ring.p
+            assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt) % ring.p
             if f.degree == g.degree:
-                assert form_eval(f + g, pt) == (form_eval(f, pt) + form_eval(g, pt)) % ring.p
+                assert (f + g).evaluate(pt) == (f.evaluate(pt) + g.evaluate(pt)) % ring.p
 
 
 class TestRingContext:
@@ -166,3 +202,22 @@ class TestRingContext:
 
     def test_zero_forms_equal_across_degrees(self, ring):
         assert ring.zero(2) == ring.zero(5)
+        x0 = ring.variable(0)
+        cancelled = x0 - x0
+        assert cancelled.is_zero and cancelled.degree == 1
+        assert cancelled == ring.zero(3)
+        assert hash(ring.zero(2)) == hash(ring.zero(5)) == hash(cancelled)
+        assert len({ring.zero(0), ring.zero(4), cancelled}) == 1
+        assert x0 != ring.zero(1)
+
+    def test_form_sums_repeated_monomials(self, ring):
+        m = (1, 1, 0, 0)
+        assert ring.form(2, [(m, 3), (m, ring.p - 3)]).is_zero
+        assert ring.form(2, [(m, 3), (m, ring.p - 3)]) == ring.zero(2)
+        assert ring.form(2, [(m, 3), (m, 5), ((0, 0, 2, 0), -1)]).terms == {
+            (1, 1, 0, 0): 8, (0, 0, 2, 0): ring.p - 1}
+
+    @pytest.mark.parametrize("bad", [(1, 0, 0), (1, 0, 0, 0, 0), (2, -1, 0, 0)])
+    def test_form_rejects_bad_exponent_vector(self, ring, bad):
+        with pytest.raises(ValueError):
+            ring.form(1, [(bad, 1)])
