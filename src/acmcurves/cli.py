@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

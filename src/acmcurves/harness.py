@@ -182,8 +182,6 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
     report = VerificationReport(parameters=params)
     cutoff = d * (2 * t - r + 1)
     expected_h, expected_deg = formulas.hilbert_from_resolution(formulas.expected_betti(t, r, d))
-    if d == 1:
-        expected_h = formulas.h_vector_gorenstein(t, r)
     report.expected_degree = expected_deg
     report.expected_h_vector = expected_h
     report.generator_degrees_expected = {d * (t - r): t - r + 1, d * t: t - r}

@@ -35,9 +35,6 @@ class IdealPresentation:
             if g.degree == 0:
                 raise ValueError("degree-0 generator would be a unit")
 
-    def max_degree(self) -> int:
-        return max((g.degree for g in self.generators), default=0)
-
 
 @dataclass(frozen=True)
 class HilbertProfile:
@@ -86,8 +83,6 @@ def ideal_piece_dim(ideal: IdealPresentation, d: int) -> int:
     """Dimension over F_p of the degree-d graded piece of the ideal."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if all(g.degree > d for g in ideal.generators):
-        return 0
     return rank_modp(macaulay_matrix(ideal, d), ideal.ring.p)
 
 
@@ -153,57 +148,41 @@ def minimal_generator_degrees(ideal: IdealPresentation) -> dict[int, int]:
     """Degrees of a minimal generating set, as a {degree: count} map.
 
     In each degree d the number of new minimal generators is
-    dim I_d - dim(R_1 * I_{d-1}); the second term is the rank of all
-    single-variable shifts of an echelon basis of the previous piece. The
-    scan stops at the largest input generator degree, past which no new
-    minimal generators can occur.
+    dim I_d - dim(R_1 * I_{d-1}). The second term is the dimension of the
+    degree-d piece of I_{<d}, the ideal of the generators of degree below d,
+    because (I_{<d})_d = R_1 * I_{d-1}. The count can be nonzero only at a
+    degree of some input generator, so only those degrees are visited.
     """
-    ring = ideal.ring
-    p = ring.p
     out: dict[int, int] = {}
-    basis = np.zeros((0, ring.dim(0)), dtype=np.int64)
-    for d in range(1, ideal.max_degree() + 1):
-        shifted = _shift_basis(ring, basis, d - 1)
-        basis_shift = echelon_basis(shifted, p) if shifted.size else shifted.reshape(0, ring.dim(d))
-        dim_shift = basis_shift.shape[0]
-        gens_d = [g.coeffs for g in ideal.generators if g.degree == d]
-        if gens_d:
-            stacked = np.vstack([basis_shift, np.array(gens_d, dtype=np.int64)])
-            basis = echelon_basis(stacked, p)
-        else:
-            basis = basis_shift
-        count = basis.shape[0] - dim_shift
+    for d in sorted({g.degree for g in ideal.generators}):
+        lower = IdealPresentation(ring=ideal.ring,
+                                  generators=tuple(g for g in ideal.generators if g.degree < d))
+        count = ideal_piece_dim(ideal, d) - ideal_piece_dim(lower, d)
         if count:
             out[d] = count
     return out
 
 
-def _shift_basis(ring: PolyRing, basis: np.ndarray, d_from: int) -> np.ndarray:
-    """Rows of basis (degree d_from) multiplied by every variable, in degree d_from + 1."""
-    k = basis.shape[0]
-    ncols = ring.dim(d_from + 1)
-    if k == 0:
-        return np.zeros((0, ncols), dtype=np.int64)
-    out = np.zeros((ring.nvars * k, ncols), dtype=np.int64)
-    shifts = ring.mul_index(1, d_from)  # row v: multiplication by x_v
-    for v in range(ring.nvars):
-        out[v * k:(v + 1) * k, shifts[v]] = basis
-    return out
-
-
 def graded_piece_spans_equal(a: IdealPresentation, b: IdealPresentation,
                              up_to: int) -> bool:
-    """True iff the two generator sets span the same piece in every degree <= up_to."""
+    """True iff the two generator sets span the same piece in every degree <= up_to.
+
+    I_d is the sum over generator degrees e <= d of R_{d-e} times the
+    generators of degree e, so if the pieces agree at every generator degree
+    of either set up to up_to, each set's generators of degree e lie in the
+    other ideal and the pieces agree in every degree <= up_to. Only those
+    degrees are compared: echelon bases of equal rank that stay at that rank
+    when stacked.
+    """
     if a.ring != b.ring:
         raise ValueError("presentations live in different rings")
     p = a.ring.p
-    for d in range(up_to + 1):
-        ma = macaulay_matrix(a, d)
-        mb = macaulay_matrix(b, d)
-        ra = rank_modp(ma, p)
-        rb = rank_modp(mb, p)
-        if ra != rb:
+    degrees = {g.degree for g in a.generators + b.generators if g.degree <= up_to}
+    for d in sorted(degrees):
+        ea = echelon_basis(macaulay_matrix(a, d), p)
+        eb = echelon_basis(macaulay_matrix(b, d), p)
+        if ea.shape[0] != eb.shape[0]:
             return False
-        if ra and rank_modp(np.vstack([ma, mb]), p) != ra:
+        if ea.shape[0] and rank_modp(np.vstack([ea, eb]), p) != ea.shape[0]:
             return False
     return True

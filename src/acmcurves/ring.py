@@ -151,10 +151,6 @@ class PolyRing:
         asc = self._sorted_codes(degree)
         return len(asc) - 1 - np.searchsorted(asc, codes)
 
-    def index_of_exps(self, degree: int, exps: np.ndarray) -> np.ndarray:
-        """Positions of the given exponent rows in the degree-d basis."""
-        return self._positions(degree, self._encode(exps))
-
     def product_positions(self, a: int, b: int) -> np.ndarray:
         """Table T of shape (dim(a), dim(b)): basis monomial i of degree a times
         basis monomial j of degree b is basis monomial T[i, j] of degree a + b.
@@ -188,9 +184,11 @@ class PolyRing:
                 raise ValueError(f"monomial {mono} has degree {monomial_degree(mono)}, expected {degree}")
             monos.append(mono)
             coefs.append(int(coef) % self.p)
+        # encode before allocating: a huge exponent fails here, not in np.zeros
+        codes = self._encode(np.array(monos, dtype=np.int64).reshape(-1, self.nvars))
         coeffs = np.zeros(self.dim(degree), dtype=np.int64)
         if monos:
-            np.add.at(coeffs, self.index_of_exps(degree, np.array(monos, dtype=np.int64)), coefs)
+            np.add.at(coeffs, self._positions(degree, codes), coefs)
             coeffs %= self.p
         return Form(self, degree, coeffs)
 

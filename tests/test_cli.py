@@ -4,6 +4,7 @@ import json
 import pytest
 
 from acmcurves.cli import main
+from acmcurves.ring import PolyRing
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +88,29 @@ class TestIntersect:
                              "--b", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @staticmethod
+    def _write_pair(tmp_path, exponent):
+        small = {"p": 32003, "nvars": 4, "rows": 1, "cols": 2, "degreeMatrix": [[1, 1]],
+                 "entries": [[[[1, [1, 0, 0, 0]]], [[1, [0, 1, 0, 0]]]]]}
+        big = {"p": 32003, "nvars": 4, "rows": 1, "cols": 1, "degreeMatrix": [[exponent]],
+               "entries": [[[[1, [exponent, 0, 0, 0]]]]]}
+        (tmp_path / "m.json").write_text(json.dumps(small))
+        (tmp_path / "mBig.json").write_text(json.dumps(big))
+        return "--a", str(tmp_path / "m.json"), "--b", str(tmp_path / "mBig.json")
+
+    def test_huge_exponent_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "intersect", *self._write_pair(tmp_path, 40000))
+        assert code == 2
+        assert "exponent too large" in err
+
+    def test_out_of_memory_exit_2(self, capsys, tmp_path, monkeypatch):
+        def refuse(self, degree, terms=()):
+            raise MemoryError("cannot allocate the form")
+        monkeypatch.setattr(PolyRing, "form", refuse)
+        code, _, err = run_cli(capsys, "intersect", *self._write_pair(tmp_path, 2))
+        assert code == 2
+        assert "cannot allocate" in err
+
 
 class TestVerify:
     def test_pass_exit_0(self, capsys):
@@ -145,19 +169,27 @@ class TestScenario:
         json.loads(out)
 
 
-# sha256 of stdout, recorded before forms became dense coefficient vectors;
-# the representation must not change a single output byte.
+# sha256 of stdout, recorded before forms became dense coefficient vectors
+# (first three) and before graded pieces came only from Macaulay matrices
+# with one elimination kernel for every modulus (last three); neither change
+# may alter a single output byte.
 GOLDEN_STDOUT = [
-    (("construct", "--t", "4", "--r", "2", "--seed", "3"),
-     "91d9fe1878abb67d993565e7ca3048500e9e14cd46a6a53c53a7c05f376ec02b"),
-    (("verify", "--t", "5", "--r", "2", "--seed", "1"),
-     "4f63af0ce5befd2f3f61b5217f494708c709dde0949f41dfdd4cac101380517d"),
-    (("scenario", "--id", "ex-2d3", "--d", "3"),
-     "baa98a5b9d17f83f1d6347358bf84855365d98b864514cc604dfe3675347da97"),
+    pytest.param(("construct", "--t", "4", "--r", "2", "--seed", "3"),
+                 "91d9fe1878abb67d993565e7ca3048500e9e14cd46a6a53c53a7c05f376ec02b", id="construct"),
+    pytest.param(("verify", "--t", "5", "--r", "2", "--seed", "1"),
+                 "4f63af0ce5befd2f3f61b5217f494708c709dde0949f41dfdd4cac101380517d", id="verify"),
+    pytest.param(("scenario", "--id", "ex-2d3", "--d", "3"),
+                 "baa98a5b9d17f83f1d6347358bf84855365d98b864514cc604dfe3675347da97", id="scenario"),
+    pytest.param(("verify", "--t", "6", "--r", "3", "--prime", "2147483629"),
+                 "5019d408778782dae4c84e80ca1089ddbb227d1a8b6ea709aab995f94226daf7", id="verify-large-prime"),
+    pytest.param(("verify", "--t", "4", "--r", "1", "--d", "2", "--seed", "3"),
+                 "7f06d411ff705c0b1d6d649d459658b241b769d57c3a42822e09ce9041191733", id="verify-uniform"),
+    pytest.param(("verify", "--t", "4", "--r", "2", "--prime", "2147483629", "--seed", "2"),
+                 "0452f6eca4a2196b9ccd81159dcb9454178ff41c25927cb7769aed06f89cab05", id="verify-large-prime-seed"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[a[0] for a, _ in GOLDEN_STDOUT])
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
 def test_golden_stdout(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("ACMCURVES_PRIME", raising=False)
     code, out, _ = run_cli(capsys, *argv)

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from acmcurves.construct import build_linear_pair, gorenstein_generators
 from acmcurves.formulas import bound_linear, h_vector_gorenstein
-from acmcurves.hilbert import (IdealPresentation, h_vector_from_profile,
-                               hilbert_function, ideal_piece_dim,
-                               macaulay_matrix, minimal_generator_degrees)
+from acmcurves.hilbert import (IdealPresentation, graded_piece_spans_equal,
+                               h_vector_from_profile, hilbert_function,
+                               ideal_piece_dim, macaulay_matrix,
+                               minimal_generator_degrees)
+from acmcurves.linalg import rank_modp
 from acmcurves.matforms import FormMatrix, maximal_minors
 from acmcurves.ring import PolyRing, random_form
 
@@ -166,22 +170,77 @@ class TestInvariants:
             assert h == h_vector_gorenstein(t, r)
 
     def test_monomial_ideal_brute_force_oracle(self):
-        """Independent count: monomials of degree d not divisible by any generator."""
+        """Independent counts: monomials of degree d not divisible by any
+        generator, and minimal generators as those no other generator divides."""
         ring3 = PolyRing(nvars=3)
         samples = [
             [(2, 0, 0)],
             [(2, 0, 0), (0, 3, 0)],
             [(1, 1, 0), (0, 2, 1), (3, 0, 0)],
             [(0, 0, 4), (2, 1, 0)],
+            [(1, 1, 0), (2, 1, 0), (0, 2, 1), (1, 3, 1), (0, 0, 3)],
         ]
+
+        def divides(g, m):
+            return all(me >= ge for me, ge in zip(m, g))
+
         for monos in samples:
             gens = tuple(ring3.monomial(m) for m in monos)
             ideal = IdealPresentation(ring=ring3, generators=gens)
             prof = hilbert_function(ideal, 8)
             for d in range(9):
                 alive = [m for m in ring3.monomials(d)
-                         if not any(all(me >= ge for me, ge in zip(m, g)) for g in monos)]
+                         if not any(divides(g, m) for g in monos)]
                 assert prof.values[d] == len(alive), (monos, d)
+            minimal = Counter(sum(m) for m in monos
+                              if not any(g != m and divides(g, m) for g in monos))
+            assert minimal_generator_degrees(ideal) == dict(minimal), monos
+
+
+def spans_equal_every_degree(a, b, up_to):
+    """Reference for graded_piece_spans_equal: three full ranks in every degree."""
+    p = a.ring.p
+    for d in range(up_to + 1):
+        ma, mb = macaulay_matrix(a, d), macaulay_matrix(b, d)
+        ra, rb = rank_modp(ma, p), rank_modp(mb, p)
+        if ra != rb or (ra and rank_modp(np.vstack([ma, mb]), p) != ra):
+            return False
+    return True
+
+
+class TestGradedPieceSpansEqual:
+    def test_matches_every_degree_reference(self, ring):
+        rng = random.Random(12)
+        outcomes = set()
+        for _ in range(3):
+            q1, q2 = random_form(2, ring, rng), random_form(2, ring, rng)
+            c = random_form(3, ring, rng)
+            ell = random_form(1, ring, rng)
+            base = (q1, q2, c)
+            others = [
+                (q1 + q2, q2, c + ell * q1),          # same ideal, other generators
+                (q1, q2, c, ell * ell * q1),           # plus a redundant quartic
+                (q1, q2),                              # loses the cubic
+                (q1, q2, random_form(3, ring, rng)),   # another cubic
+                (q1, random_form(2, ring, rng), c),    # another quadric
+                (q1, q2, c, random_form(4, ring, rng)),
+            ]
+            for other in others:
+                a = IdealPresentation(ring=ring, generators=base)
+                b = IdealPresentation(ring=ring, generators=other)
+                for up_to in range(6):
+                    got = graded_piece_spans_equal(a, b, up_to)
+                    assert got == spans_equal_every_degree(a, b, up_to), (other, up_to)
+                    assert graded_piece_spans_equal(b, a, up_to) == got
+                    outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_differs_only_above_a_generator_degree(self, ring):
+        x0, x1 = ring.variable(0), ring.variable(1)
+        a = IdealPresentation(ring=ring, generators=(x0 * x0,))
+        b = IdealPresentation(ring=ring, generators=(x0 * x0, x1 * x1 * x1))
+        assert graded_piece_spans_equal(a, b, 2)
+        assert not graded_piece_spans_equal(a, b, 3)
 
 
 class TestIdealPresentation:

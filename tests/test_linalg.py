@@ -46,27 +46,51 @@ def test_rank_of_engineered_deficiency():
     assert rank_modp(a, p) == 6
 
 
-def test_rank_small_blocks_agree():
-    # exercise multiple panels and the trailing-update path
+def test_rank_multi_panel():
+    # 200 columns span 4 panels: exercises the trailing-update path
     p = 32003
     rng = np.random.default_rng(6)
     a = rng.integers(0, p, size=(150, 200))
     a[40:80] = (3 * a[0:40]) % p  # duplicate rows drop the rank
-    r_fast = rank_modp(a, p, block=16)
-    assert r_fast == rank_modp(a, p, block=64) == naive_rank(a, p)
+    assert rank_modp(a, p) == naive_rank(a, p)
 
 
 def test_blocked_path_at_large_modulus():
-    # 16 * (p-1)**2 < 2**53 admits the blocked path; 140 columns span 9 panels
+    # 64 * (p-1)**2 < 2**53 admits the blocked path; 140 columns span 3 panels
     p = 1000003
     rng = np.random.default_rng(10)
     a = rng.integers(0, p, size=(90, 140))
     a[60:80] = (5 * a[0:20]) % p
-    assert rank_modp(a, p, block=16) == rank_modp(a, p) == naive_rank(a, p) == 70
+    assert rank_modp(a, p) == naive_rank(a, p) == 70
+
+
+def _deficient(rng, shape, rank, p):
+    """A random matrix of the given rank over F_p, with one zero column."""
+    m, n = shape
+    coeffs = rng.integers(0, p, size=(m, rank)).astype(object)
+    basis = rng.integers(0, p, size=(rank, n)).astype(object)
+    a = (coeffs @ basis % p).astype(np.int64)
+    a[:, n // 3] = 0
+    return a
+
+
+# 11863099 and 11863477 sit on either side of 64 * (p-1)**2 = 2**53: the
+# first runs 64-column panels, the second and 2147483629 one whole-width panel
+@pytest.mark.parametrize("shape,rank", [((30, 70), 20), ((70, 30), 25), ((90, 140), 70)])
+@pytest.mark.parametrize("p", [11863099, 11863477, 2147483629])
+def test_rank_deficient_around_the_panel_switch(shape, rank, p):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1] + p % 997)
+    a = _deficient(rng, shape, rank, p)
+    assert rank_modp(a, p) == naive_rank(a, p) == rank
+    basis = echelon_basis(a, p)
+    leads = [int(np.nonzero(row)[0][0]) for row in basis]
+    assert len(leads) == rank
+    assert leads == sorted(leads) and len(set(leads)) == len(leads)
+    assert rank_modp(np.vstack([basis, a]), p) == rank
 
 
 def test_large_modulus_path():
-    p = 2147483629  # prime near 2**31: takes the non-blocked path
+    p = 2147483629  # prime near 2**31: one whole-width panel
     rng = np.random.default_rng(7)
     a = rng.integers(0, p, size=(12, 9))
     assert rank_modp(a, p) == naive_rank(a, p)
