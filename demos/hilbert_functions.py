@@ -2,8 +2,9 @@
 
 The degree-d piece of an ideal is the row space of the Macaulay matrix of
 its generators; its dimension is a rank over F_p. Differencing the quotient
-Hilbert function recovers h-vectors, and stabilization certifies the length
-of a zero-dimensional scheme.
+Hilbert function recovers h-vectors, and a Bayer-Stillman regularity
+certificate proves the function constant, so its value is the length of a
+zero-dimensional scheme.
 """
 
 import random
@@ -32,12 +33,15 @@ pair = build_linear_pair(4, 2, random.Random(1))
 gens = gorenstein_generators(pair)
 profile = hilbert_function(gens, 10)
 print(f"  HF(R/I): {profile.values}")
-print(f"  stabilizes at {profile.stabilized_value} from degree {profile.stabilized_at}:")
-print(f"  the intersection scheme has length {profile.degree}")
+m, v = profile.certificate
+print(f"  stabilizes at {profile.stabilized_value} from degree {profile.stabilized_at};")
+print(f"  certificate: I is {m}-regular, witnessed by (I + x{v})_{m} = R_{m},")
+print(f"  so the intersection scheme has length {profile.stabilized_value}")
 h = h_vector_from_profile(profile, 3)
 print(f"  h-vector (codim 3): {h} - symmetric, socle degree {len(h) - 1}, sum {sum(h)}\n")
 
-print("Non-stabilization is an explicit outcome, not a crash:")
+print("A missing certificate is an explicit outcome, not a crash:")
 curve_profile = hilbert_function(ideal, 6)
-print(f"  cubic curve by cutoff 6: stabilized = {curve_profile.stabilized}")
+print(f"  cubic curve by cutoff 6: stabilized = {curve_profile.stabilized}, "
+      f"certificate = {curve_profile.certificate}")
 print("  (intersect workflows treat that as 'shared component or cutoff too small')")

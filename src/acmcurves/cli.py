@@ -4,7 +4,7 @@ Subcommands: bound, construct, hilbert, intersect, verify, scenario.
 Output is a single JSON document on stdout (canonical key order, so equal
 configs produce byte-identical bytes); --pretty switches to indented form.
 Errors go to stderr. Exit codes: 0 success / verification passed, 1
-verification failed, 2 usage or input errors, 3 no Hilbert stabilization.
+verification failed, 2 usage or input errors, 3 length not certified.
 
 The default modulus may be set with the ACMCURVES_PRIME environment
 variable; an explicit --prime flag wins.
@@ -128,9 +128,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     ideal = jsonio.ideal_from_doc(json.loads(args.input.read_text()))
-    degs = sorted((g.degree for g in ideal.generators), reverse=True)
-    cutoff = args.cutoff if args.cutoff is not None else degs[0] + degs[min(1, len(degs) - 1)] + 4
-    profile = hilbert_function(ideal, cutoff)
+    profile = hilbert_function(ideal, args.cutoff)
     doc = jsonio.profile_to_doc(profile)
     if args.codim is not None:
         doc["hVector"] = list(h_vector_from_profile(profile, args.codim))
@@ -146,8 +144,8 @@ def _cmd_intersect(args) -> int:
     doc = {"degree": count, "profile": jsonio.profile_to_doc(profile)}
     _emit(doc, args.pretty)
     if count is None:
-        print("intersection did not stabilize: shared component or cutoff too small",
-              file=sys.stderr)
+        print(f"stabilized value not certified by degree {profile.cutoff}: "
+              "shared component or cutoff too small", file=sys.stderr)
         return EXIT_NOT_STABILIZED
     return EXIT_OK
 

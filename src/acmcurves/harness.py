@@ -102,19 +102,14 @@ class TensorViews:
         return FormMatrix(ring, ent, [[1] * t1 for _ in range(t)])
 
 
-def _two_largest_degrees(*ideals: IdealPresentation) -> int:
-    degs = sorted((g.degree for ideal in ideals for g in ideal.generators), reverse=True)
-    return degs[0] + degs[1] if len(degs) >= 2 else (degs[0] if degs else 0)
-
-
 def intersect_count(a: FormMatrix, b: FormMatrix,
                     cutoff: int | None = None) -> tuple[int | None, HilbertProfile]:
     """Length of the intersection scheme of two determinantal curves.
 
     Builds the ideal generated by the maximal minors of both matrices and
-    returns (stabilized Hilbert value, profile). A profile that does not
-    stabilize by the cutoff (shared component, or cutoff too small) yields
-    (None, profile) as an explicit non-result.
+    returns (certified stabilized Hilbert value, profile). A profile that is
+    not certified by the cutoff (shared component, or cutoff too small)
+    yields (None, profile) as an explicit non-result.
     """
     if a.ring != b.ring:
         raise ValueError("matrices live in different rings")
@@ -123,13 +118,11 @@ def intersect_count(a: FormMatrix, b: FormMatrix,
 
 def _count_intersection(forms: list[Form], ring: PolyRing,
                         cutoff: int | None = None) -> tuple[int | None, HilbertProfile]:
-    """Stabilized Hilbert value and profile of the ideal of the nonzero forms;
-    the default cutoff is the sum of the two largest degrees plus 4."""
+    """Certified stabilized Hilbert value and profile of the ideal of the
+    nonzero forms."""
     ideal = IdealPresentation(ring=ring, generators=tuple(f for f in forms if not f.is_zero))
-    if cutoff is None:
-        cutoff = _two_largest_degrees(ideal) + 4
-    profile = hilbert_function(ideal, cutoff, stop_at_stabilization=True)
-    return profile.degree, profile
+    profile = hilbert_function(ideal, cutoff)
+    return profile.stabilized_value, profile
 
 
 def _spans_match_generators(pair: ConstructionPair, pfs: list[Form]) -> bool:
@@ -168,14 +161,13 @@ def perturbed_pfaffian_span_check(pair: ConstructionPair, rng: random.Random) ->
 
 
 def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
-                        prime: int = DEFAULT_PRIME,
-                        max_reseeds: int = MAX_RESEEDS) -> VerificationReport:
+                        prime: int = DEFAULT_PRIME) -> VerificationReport:
     """Build a pair and verify degree, h-vector, generator degrees, Pfaffian span.
 
     Random entries realize "general" ones; if the intersection fails to look
-    zero-dimensional (no Hilbert stabilization, an impossible h-vector, a
-    degenerate zero minor) the pair is rebuilt with the next seed, at most
-    max_reseeds times, before reporting failure.
+    zero-dimensional (no certified Hilbert stabilization, an impossible
+    h-vector, a degenerate zero minor) the pair is rebuilt with the next seed,
+    at most MAX_RESEEDS times, before reporting failure.
     """
     ring = PolyRing(prime, 4)
     params = {"t": t, "r": r, "d": d, "p": prime, "seed": seed}
@@ -187,7 +179,7 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
     report.generator_degrees_expected = {d * (t - r): t - r + 1, d * t: t - r}
 
     last_error = "no attempt ran"
-    for attempt in range(max_reseeds + 1):
+    for attempt in range(MAX_RESEEDS + 1):
         used_seed = seed + attempt
         params["seed"] = used_seed
         try:
@@ -197,12 +189,12 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
             report.timings["construct"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            profile = hilbert_function(gens, cutoff, stop_at_stabilization=True)
+            profile = hilbert_function(gens, cutoff)
             report.timings["hilbert"] = time.perf_counter() - t0
             if not profile.stabilized:
                 last_error = f"no stabilization by degree {cutoff} (seed {used_seed})"
                 continue
-            report.observed_degree = profile.degree
+            report.observed_degree = profile.stabilized_value
             report.observed_h_vector = h_vector_from_profile(profile, 3)
 
             t0 = time.perf_counter()
@@ -218,7 +210,7 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
         except ValueError as exc:
             last_error = f"{exc} (seed {used_seed})"
             continue
-    report.failure = f"genericity failure after {max_reseeds + 1} attempts: {last_error}"
+    report.failure = f"genericity failure after {MAX_RESEEDS + 1} attempts: {last_error}"
     report.passed = False
     return report
 

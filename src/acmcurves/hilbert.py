@@ -3,8 +3,8 @@
 No Groebner bases anywhere: the degree-d piece of an ideal is the row space
 of the matrix whose rows are monomial multiples of the generators, written
 against the degree-d monomial basis, and its dimension is an exact rank over
-F_p. Stabilization of the quotient's Hilbert function certifies the length
-of a zero-dimensional scheme; finite differences recover h-vectors.
+F_p. A certified constant Hilbert function gives the length of a
+zero-dimensional scheme; finite differences recover h-vectors.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ class IdealPresentation:
 class HilbertProfile:
     """Hilbert-function values of R/I for d = 0..cutoff, plus stabilization data.
 
-    stabilized_value is set once three consecutive equal values appear; for a
-    presentation whose quotient is one-dimensional (a zero-dimensional
-    projective scheme) that value is the scheme length, recorded as degree.
+    The stabilization fields are set only under a certificate (m, v) from
+    hilbert_function: H(d) = H(m) for every d >= m. stabilized_value is H(m),
+    the scheme length when R/I is one-dimensional; stabilized_at is the first
+    degree of the final flat run of values.
     """
 
     values: tuple[int, ...]
@@ -50,8 +51,7 @@ class HilbertProfile:
     nvars: int
     stabilized_value: int | None = None
     stabilized_at: int | None = None
-    h_vector: tuple[int, ...] | None = None
-    degree: int | None = None
+    certificate: tuple[int, int] | None = None
 
     @property
     def stabilized(self) -> bool:
@@ -86,36 +86,61 @@ def ideal_piece_dim(ideal: IdealPresentation, d: int) -> int:
     return rank_modp(macaulay_matrix(ideal, d), ideal.ring.p)
 
 
-def hilbert_function(ideal: IdealPresentation, cutoff: int,
-                     stop_at_stabilization: bool = False) -> HilbertProfile:
-    """Hilbert function of R/I up to the cutoff degree.
+def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> HilbertProfile:
+    """Hilbert function of R/I up to the cutoff degree, certified constant
+    from a degree m on when possible.
 
-    Stabilization is detected as three consecutive equal values. With
-    stop_at_stabilization the scan ends right there and the profile's cutoff
-    reflects the degrees actually computed. A profile that never stabilizes
-    comes back with stabilized_value None; callers treat that as an explicit
-    non-result, not an error.
+    The default cutoff is the sum of the two largest generator degrees plus 4
+    (a lone generator counts twice). Once m = d - 1 >= max(1, top generator
+    degree) and H(m-1) = H(m) = H(m+1), a variable x_v with
+    (I + x_v)_m = R_m certifies that I is m-regular (Bayer and Stillman,
+    Invent. Math. 87, 1987, Thm 1.10; Eisenbud, The Geometry of Syzygies,
+    ch. 4): it gives H(m+1) = dim (R/(I : x_v))_m, so H(m) = H(m+1) is
+    (I : x_v)_m = I_m. As dim R/I <= 1, H(d) = H(m) for all d >= m, and the
+    values up to the cutoff are filled in, not ranked. This direction of the
+    theorem holds for any linear form, generic or not, over any field: base
+    change to the algebraic closure of F_p preserves sums, colons and Hilbert
+    functions.
+    Without a certificate stabilized_value is None, an explicit non-result.
     """
+    degs = sorted((g.degree for g in ideal.generators), reverse=True)
+    if cutoff is None:
+        cutoff = sum((degs + degs)[:2]) + 4
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     ring = ideal.ring
     values: list[int] = []
-    stab_at = None
     for d in range(cutoff + 1):
         values.append(ring.dim(d) - ideal_piece_dim(ideal, d))
-        if stab_at is None and d >= 2 and values[-1] == values[-2] == values[-3]:
-            stab_at = d - 2
-            if stop_at_stabilization:
-                break
-    stab_value = values[stab_at] if stab_at is not None else None
-    return HilbertProfile(
-        values=tuple(values),
-        cutoff=len(values) - 1,
-        nvars=ring.nvars,
-        stabilized_value=stab_value,
-        stabilized_at=stab_at,
-        degree=stab_value,
-    )
+        m = d - 1
+        if m >= max([1] + degs[:1]) and values[m - 1] == values[m] == values[d]:
+            v = _regularity_witness(ideal, m)
+            if v is not None:
+                start = m - 1
+                while start and values[start - 1] == values[m]:
+                    start -= 1
+                return HilbertProfile(values=tuple(values) + (values[m],) * (cutoff - d),
+                                      cutoff=cutoff, nvars=ring.nvars,
+                                      stabilized_value=values[m], stabilized_at=start,
+                                      certificate=(m, v))
+    return HilbertProfile(values=tuple(values), cutoff=cutoff, nvars=ring.nvars)
+
+
+def _regularity_witness(ideal: IdealPresentation, m: int) -> int | None:
+    """First v in n-1, ..., 0 with (I + x_v)_m = R_m, or None. Setting x_v = 0
+    keeps the coefficients of the monomials free of x_v: in descending-lex
+    order they are the basis of the ring in the other n - 1 variables."""
+    ring = ideal.ring
+    if ring.nvars == 1:
+        return 0  # (I + x_0)_m = R_m for every m >= 1
+    sub = PolyRing(ring.p, ring.nvars - 1)
+    for v in reversed(range(ring.nvars)):
+        restricted = (Form(sub, g.degree, g.coeffs[ring.exps(g.degree)[:, v] == 0])
+                      for g in ideal.generators)
+        cut = IdealPresentation(ring=sub, generators=tuple(f for f in restricted if not f.is_zero))
+        if ideal_piece_dim(cut, m) == sub.dim(m):
+            return v
+    return None
 
 
 def h_vector_from_profile(profile: HilbertProfile, codimension: int) -> tuple[int, ...]:

@@ -93,6 +93,7 @@ def ideal_from_doc(doc: dict) -> IdealPresentation:
 
 
 def profile_to_doc(profile: HilbertProfile) -> dict:
+    cert = profile.certificate
     return {
         "values": list(profile.values),
         "cutoff": profile.cutoff,
@@ -100,8 +101,7 @@ def profile_to_doc(profile: HilbertProfile) -> dict:
         "stabilized": profile.stabilized,
         "stabilizedValue": profile.stabilized_value,
         "stabilizedAt": profile.stabilized_at,
-        "hVector": list(profile.h_vector) if profile.h_vector is not None else None,
-        "degree": profile.degree,
+        "certificate": None if cert is None else {"regularity": cert[0], "linearForm": f"x{cert[1]}"},
     }
 
 

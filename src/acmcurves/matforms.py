@@ -64,12 +64,6 @@ class FormMatrix:
         deg = [[self.degree_matrix[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return FormMatrix(self.ring, ent, deg)
 
-    def submatrix(self, rowset: Sequence[int], colset: Sequence[int]) -> FormMatrix:
-        rs, cs = sorted(rowset), sorted(colset)
-        ent = [[self.entries[i][j] for j in cs] for i in rs]
-        deg = [[self.degree_matrix[i][j] for j in cs] for i in rs]
-        return FormMatrix(self.ring, ent, deg)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormMatrix):
             return NotImplemented

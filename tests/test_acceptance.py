@@ -136,8 +136,7 @@ def test_criterion_6_rational_point_oracle():
             for seed in range(25):  # tiny fields fail genericity noticeably often
                 try:
                     cand = build_linear_pair(t, r, random.Random(seed), ring=ring)
-                    profile = hilbert_function(gorenstein_generators(cand), 2 * t + 2,
-                                               stop_at_stabilization=True)
+                    profile = hilbert_function(gorenstein_generators(cand), 2 * t + 2)
                 except ValueError:
                     continue
                 if profile.stabilized:

@@ -111,6 +111,53 @@ class TestIntersect:
         assert code == 2
         assert "cannot allocate" in err
 
+    def test_self_intersection_not_certified(self, capsys, tmp_path):
+        x = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        rows = [[x[0], x[1], x[2]], [x[1], x[2], x[3]]]  # the twisted cubic's matrix
+        doc = {"p": 32003, "nvars": 4, "rows": 2, "cols": 3,
+               "entries": [[[[1, v]] for v in row] for row in rows]}
+        (tmp_path / "tc.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "intersect", "--a", str(tmp_path / "tc.json"),
+                                 "--b", str(tmp_path / "tc.json"))
+        assert code == 3
+        assert json.loads(out)["profile"]["certificate"] is None
+        assert "not certified by degree 8: shared component or cutoff too small" in err
+
+
+class TestHilbertInput:
+    @staticmethod
+    def _hilbert(capsys, tmp_path, generators):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"p": 32003, "nvars": 4, "generators": generators}))
+        code, out, err = run_cli(capsys, "hilbert", "--input", str(path))
+        return code, json.loads(out) if out else None, err
+
+    def test_false_plateau_refused(self, capsys, tmp_path):
+        gens = [[[1, [1, 0, 0, 0]]], [[1, [0, 1, 0, 0]]], [[1, [0, 0, 2, 0]]],
+                [[1, [0, 0, 1, 4]]]]
+        code, doc, _ = self._hilbert(capsys, tmp_path, gens)
+        assert code == 0
+        assert doc["values"] == [1, 2, 2, 2, 2] + [1] * 7
+        assert doc["stabilizedValue"] == 1 and doc["stabilizedAt"] == 5
+        assert doc["certificate"] == {"regularity": 6, "linearForm": "x3"}
+        assert "degree" not in doc and "hVector" not in doc
+
+    def test_empty_ideal_exit_0(self, capsys, tmp_path):
+        code, doc, err = self._hilbert(capsys, tmp_path, [])
+        assert code == 0, err
+        assert doc["values"] == [1, 4, 10, 20, 35] and doc["cutoff"] == 4
+        assert doc["stabilized"] is False and doc["certificate"] is None
+
+    def test_twisted_cubic_uncertified(self, capsys, tmp_path):
+        x = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        plus = lambda a, b: [a[k] + b[k] for k in range(4)]
+        minors = [[[1, plus(x[i], x[j + 1])], [32002, plus(x[j], x[i + 1])]]
+                  for i, j in [(0, 1), (0, 2), (1, 2)]]
+        code, doc, _ = self._hilbert(capsys, tmp_path, minors)
+        assert code == 0
+        assert doc["values"] == [1, 4, 7, 10, 13, 16, 19, 22, 25]
+        assert doc["stabilizedValue"] is None and doc["certificate"] is None
+
 
 class TestVerify:
     def test_pass_exit_0(self, capsys):

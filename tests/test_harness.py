@@ -44,6 +44,14 @@ class TestIntersectCount:
         count, _ = intersect_count(a, b)
         assert count == 0
 
+    def test_false_plateau_gives_true_length(self, ring):
+        x = [ring.variable(i) for i in range(4)]
+        a = FormMatrix(ring, [[x[0], x[1]]])
+        b = FormMatrix(ring, [[x[2] * x[2], x[2] * ring.monomial((0, 0, 0, 4))]])
+        count, profile = intersect_count(a, b)
+        assert count == 1
+        assert profile.certificate == (6, 3)
+
     def test_ring_mismatch_rejected(self, ring):
         other = PolyRing(101)
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from acmcurves import hilbert
 from acmcurves.construct import build_linear_pair, gorenstein_generators
 from acmcurves.formulas import bound_linear, h_vector_gorenstein
 from acmcurves.hilbert import (IdealPresentation, graded_piece_spans_equal,
@@ -66,6 +67,7 @@ class TestHilbertFunction:
         prof = hilbert_function(twisted_cubic_ideal(ring), 6)
         assert prof.values == (1, 4, 7, 10, 13, 16, 19)
         assert not prof.stabilized  # a curve keeps growing
+        assert prof.certificate is None and prof.stabilized_at is None
 
     def test_whole_ring_in_positive_degrees(self, ring):
         ideal = IdealPresentation(ring=ring, generators=tuple(ring.variable(i) for i in range(4)))
@@ -77,17 +79,128 @@ class TestHilbertFunction:
         pair = build_linear_pair(4, 2, random.Random(3))
         prof = hilbert_function(gorenstein_generators(pair), 10)
         assert prof.stabilized_value == 11
-        assert prof.degree == 11
 
-    def test_stop_at_stabilization_shortens_profile(self):
+    def test_no_rank_above_certified_degree(self, monkeypatch):
         pair = build_linear_pair(4, 2, random.Random(3))
-        prof = hilbert_function(gorenstein_generators(pair), 20, stop_at_stabilization=True)
-        assert prof.cutoff < 20
-        assert prof.stabilized_value == 11
+        ideal = gorenstein_generators(pair)
+        ranked = []
+
+        def counting(piece_ideal, d):
+            ranked.append((piece_ideal.ring.nvars, d))
+            return ideal_piece_dim(piece_ideal, d)
+
+        monkeypatch.setattr(hilbert, "ideal_piece_dim", counting)
+        prof = hilbert_function(ideal, 20)
+        m, v = prof.certificate
+        # the sweep ranks degrees 0..m+1, the certificate ranks degree m in 3 variables
+        assert [d for n, d in ranked if n == 4] == list(range(m + 2))
+        assert {d for n, d in ranked if n == 3} == {m}
+        assert prof.cutoff == 20 and len(prof.values) == 21
+        assert prof.values[m:] == (11,) * (21 - m)
+        assert prof.stabilized_value == 11 and prof.stabilized_at == m - 1
 
     def test_values_start_at_one(self, ring):
         prof = hilbert_function(twisted_cubic_ideal(ring), 3)
         assert prof.values[0] == 1
+
+
+def false_plateau_ideal(ring):
+    """(x0, x1, x2^2, x2*x3^4): Hilbert values 1, 2, 2, 2, 2, then 1 for ever."""
+    x = [ring.variable(i) for i in range(4)]
+    return IdealPresentation(ring=ring, generators=(x[0], x[1], x[2] * x[2],
+                                                    x[2] * ring.monomial((0, 0, 0, 4))))
+
+
+def three_equal_values(values):
+    """The former stabilization rule: the first of three equal consecutive values."""
+    for d in range(2, len(values)):
+        if values[d] == values[d - 1] == values[d - 2]:
+            return values[d]
+    return None
+
+
+def ranked_values(ideal, cutoff):
+    return tuple(ideal.ring.dim(d) - ideal_piece_dim(ideal, d) for d in range(cutoff + 1))
+
+
+class TestCertificate:
+    def test_false_plateau_refused(self, ring):
+        prof = hilbert_function(false_plateau_ideal(ring))
+        assert prof.values == (1, 2, 2, 2, 2) + (1,) * 7
+        assert three_equal_values(prof.values) == 2  # the old rule accepts the plateau
+        assert prof.stabilized_value == 1
+        assert prof.certificate == (6, 3)
+        assert prof.stabilized_at == 5
+
+    def test_plateau_above_generator_degrees_refused(self):
+        # (x1^3, x1*x2^3, x0*x1) in three variables: the plateau 6, 6, 6 sits at
+        # m = 4, the top generator degree, yet the quotient holds the line
+        # x1 = 0 and keeps growing; no variable passes the restricted rank
+        ring3 = PolyRing(nvars=3)
+        gens = tuple(ring3.monomial(e) for e in [(0, 3, 0), (0, 1, 3), (1, 1, 0)])
+        prof = hilbert_function(IdealPresentation(ring=ring3, generators=gens), 9)
+        assert prof.values == (1, 3, 5, 6, 6, 6, 7, 8, 9, 10)
+        assert three_equal_values(prof.values) == 6
+        assert prof.certificate is None and not prof.stabilized
+
+    def test_default_cutoff(self, ring):
+        x = [ring.variable(i) for i in range(4)]
+        ideal = lambda *gens: IdealPresentation(ring=ring, generators=gens)
+        assert hilbert_function(false_plateau_ideal(ring)).cutoff == 5 + 2 + 4
+        assert hilbert_function(ideal(x[0] * x[1] * x[2])).cutoff == 3 + 3 + 4
+        assert hilbert_function(ideal()).cutoff == 4
+
+    def test_filled_values_equal_ranked_values(self, ring):
+        """(x0, x1, x2^a, x2*x3^b), whose values rise or plateau before they fall
+        to 1: every value the certificate fills in equals the rank in that degree."""
+        x = [ring.variable(i) for i in range(4)]
+        for a, b in [(2, 3), (2, 6), (3, 4), (4, 2)]:
+            gens = (x[0], x[1], ring.monomial((0, 0, a, 0)), ring.monomial((0, 0, 1, b)))
+            ideal = IdealPresentation(ring=ring, generators=gens)
+            prof = hilbert_function(ideal, 14)
+            assert prof.certificate is not None
+            assert prof.values == ranked_values(ideal, 14), (a, b)
+            assert prof.stabilized_value == 1
+
+    def test_random_points_certified_values_are_exact(self, ring):
+        rng = random.Random(21)
+        for degs in [(1, 2, 2), (2, 2, 2), (1, 2, 3), (2, 2, 3)]:
+            gens = tuple(random_form(e, ring, rng) for e in degs)
+            ideal = IdealPresentation(ring=ring, generators=gens)
+            prof = hilbert_function(ideal)
+            assert prof.certificate is not None
+            assert prof.stabilized_value == degs[0] * degs[1] * degs[2]
+            assert prof.values == ranked_values(ideal, prof.cutoff)
+
+    def test_first_passing_variable_is_named(self, ring):
+        # the point (1:0:0:0) lies on x1 = x2 = x3 = 0, so only x0 cuts it out;
+        # a redundant quintic delays the certificate to m = 5, while the flat
+        # run of values still starts at degree 0
+        x = [ring.variable(i) for i in range(4)]
+        quintic = ring.monomial((4, 1, 0, 0))
+        prof = hilbert_function(IdealPresentation(ring=ring, generators=(x[1], x[2], x[3], quintic)))
+        assert prof.certificate == (5, 0)
+        assert prof.stabilized_value == 1 and prof.stabilized_at == 0
+
+    def test_coordinate_points_stay_uncertified(self, ring):
+        # every coordinate hyperplane holds three of the four coordinate
+        # points, so no variable certifies this genuine plateau
+        x = [ring.variable(i) for i in range(4)]
+        gens = tuple(x[i] * x[j] for i in range(4) for j in range(i + 1, 4))
+        prof = hilbert_function(IdealPresentation(ring=ring, generators=gens), 8)
+        assert prof.values == (1,) + (4,) * 8
+        assert not prof.stabilized and prof.certificate is None
+        assert prof.stabilized_at is None
+
+    def test_one_variable(self):
+        ring1 = PolyRing(nvars=1)
+        cube = hilbert_function(IdealPresentation(ring=ring1, generators=(ring1.monomial((3,)),)))
+        assert cube.values == (1, 1, 1) + (0,) * 8
+        assert cube.certificate == (4, 0) and cube.stabilized_value == 0
+        assert cube.stabilized_at == 3
+        zero = hilbert_function(IdealPresentation(ring=ring1, generators=()))
+        assert zero.values == (1,) * 5
+        assert zero.certificate == (1, 0) and zero.stabilized_value == 1
 
 
 class TestHVector:
@@ -160,13 +273,12 @@ class TestInvariants:
     def test_gorenstein_symmetry_and_degree_sum(self):
         for (t, r) in [(3, 1), (4, 2), (5, 3)]:
             pair = build_linear_pair(t, r, random.Random(t * 10 + r))
-            prof = hilbert_function(gorenstein_generators(pair), 2 * t + 2,
-                                    stop_at_stabilization=True)
+            prof = hilbert_function(gorenstein_generators(pair), 2 * t + 2)
             h = h_vector_from_profile(prof, 3)
             s = 2 * t - r - 2
             assert len(h) == s + 1
             assert h == tuple(reversed(h))
-            assert sum(h) == bound_linear(t, r) == prof.degree
+            assert sum(h) == bound_linear(t, r) == prof.stabilized_value
             assert h == h_vector_gorenstein(t, r)
 
     def test_monomial_ideal_brute_force_oracle(self):
