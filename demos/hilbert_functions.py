@@ -23,7 +23,8 @@ ideal = IdealPresentation(ring=ring, generators=tuple(maximal_minors(tc)))
 profile = hilbert_function(ideal, 8)
 print(f"  HF(R/I): {profile.values}")
 print(f"  (an arithmetically Cohen-Macaulay cubic curve: 3d + 1)")
-print(f"  h-vector (codim 2): {h_vector_from_profile(profile, 2)}")
+print(f"  degree 3 from the growth H(d) - H(d-1) = {profile.values[-1] - profile.values[-2]};")
+print("  a curve's profile has no certificate, so no h-vector is reported for it")
 print(f"  minimal generator degrees: {minimal_generator_degrees(ideal)}")
 m = macaulay_matrix(ideal, 3)
 print(f"  Macaulay matrix in degree 3: {m.shape[0]} multiples x {m.shape[1]} monomials\n")

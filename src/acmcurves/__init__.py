@@ -6,9 +6,9 @@ Macaulay-matrix ranks, Pfaffian generator sets, and the closed-form
 intersection-count bounds, all verified by exact linear algebra over F_p.
 """
 
-from .construct import (ConstructionPair, build_linear_pair, build_uniform_pair,
-                        embed_pair, gorenstein_generators, skew_matrix_G,
-                        union_matrix)
+from .construct import (ConstructionPair, DegenerateSample, build_linear_pair,
+                        build_uniform_pair, embed_pair, gorenstein_generators,
+                        skew_matrix_G, union_matrix)
 from .formulas import (BettiShape, binom, bound_linear, bound_uniform, deg_acm,
                        expected_betti, h_vector_gorenstein, hilbert_from_resolution)
 from .harness import (SCENARIO_SEEDS, TensorViews, VerificationReport,
@@ -28,7 +28,7 @@ from .ring import (DEFAULT_PRIME, FieldSpec, Form, Monomial, PolyRing, is_prime,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiShape", "ConstructionPair", "DEFAULT_PRIME", "FieldSpec", "Form",
+    "BettiShape", "ConstructionPair", "DEFAULT_PRIME", "DegenerateSample", "FieldSpec", "Form",
     "FormMatrix", "HilbertProfile", "IdealPresentation", "Monomial",
     "PolyRing", "SCENARIO_SEEDS", "SkewFormMatrix", "TensorViews",
     "VerificationReport", "binom", "bound_linear", "bound_uniform",

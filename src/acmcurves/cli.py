@@ -4,7 +4,8 @@ Subcommands: bound, construct, hilbert, intersect, verify, scenario.
 Output is a single JSON document on stdout (canonical key order, so equal
 configs produce byte-identical bytes); --pretty switches to indented form.
 Errors go to stderr. Exit codes: 0 success / verification passed, 1
-verification failed, 2 usage or input errors, 3 length not certified.
+verification failed, 2 usage or input errors, 3 length or h-vector not
+certified.
 
 The default modulus may be set with the ACMCURVES_PRIME environment
 variable; an explicit --prime flag wins.
@@ -130,6 +131,12 @@ def _cmd_hilbert(args) -> int:
     ideal = jsonio.ideal_from_doc(json.loads(args.input.read_text()))
     profile = hilbert_function(ideal, args.cutoff)
     doc = jsonio.profile_to_doc(profile)
+    if args.codim is not None and profile.certificate is None:
+        _emit(doc, args.pretty)
+        print(f"h-vector not certified: the profile has no certificate by degree "
+              f"{profile.cutoff} (positive-dimensional, shared component or cutoff too small)",
+              file=sys.stderr)
+        return EXIT_NOT_STABILIZED
     if args.codim is not None:
         doc["hVector"] = list(h_vector_from_profile(profile, args.codim))
         doc["hVectorSum"] = sum(doc["hVector"])

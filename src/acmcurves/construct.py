@@ -19,6 +19,11 @@ from .matforms import FormMatrix, SkewFormMatrix, _det_grid, maximal_minors
 from .ring import DEFAULT_PRIME, Form, PolyRing, random_form
 
 
+class DegenerateSample(ValueError):
+    """A random sample missed the general position the construction needs
+    (a maximal minor vanished); drawing again with a fresh seed is the fix."""
+
+
 @dataclass(frozen=True)
 class ConstructionPair:
     """The (M_small, M_big) pair with the embedded-transpose layout."""
@@ -135,11 +140,15 @@ def gorenstein_generators(pair: ConstructionPair) -> IdealPresentation:
     plus the maximal minors of M_big that delete one embedded column.
 
     That is 2t-2r+1 forms: t-r+1 of degree d(t-r) and t-r of degree dt.
+    A zero minor raises DegenerateSample.
     """
     t, r = pair.t, pair.r
     gens = list(maximal_minors(pair.m_small))
     big = maximal_minors(pair.m_big)
     gens.extend(big[r + 1 + k] for k in range(t - r))
+    zeros = [i for i, g in enumerate(gens) if g.is_zero]
+    if zeros:
+        raise DegenerateSample(f"zero maximal minor: generator {zeros[0]}")
     return IdealPresentation(ring=pair.m_big.ring, generators=tuple(gens))
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formulas
-from .construct import (ConstructionPair, build_uniform_pair, embed_pair,
-                        gorenstein_generators, skew_matrix_G)
+from .construct import (ConstructionPair, DegenerateSample, build_uniform_pair,
+                        embed_pair, gorenstein_generators, skew_matrix_G)
 from .hilbert import (HilbertProfile, IdealPresentation, graded_piece_spans_equal,
                       h_vector_from_profile, hilbert_function,
                       minimal_generator_degrees)
@@ -164,10 +164,11 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
                         prime: int = DEFAULT_PRIME) -> VerificationReport:
     """Build a pair and verify degree, h-vector, generator degrees, Pfaffian span.
 
-    Random entries realize "general" ones; if the intersection fails to look
-    zero-dimensional (no certified Hilbert stabilization, an impossible
-    h-vector, a degenerate zero minor) the pair is rebuilt with the next seed,
-    at most MAX_RESEEDS times, before reporting failure.
+    Random entries realize "general" ones; if a sample is degenerate (a zero
+    minor, DegenerateSample) or its Hilbert function is not certified
+    constant by the cutoff, the pair is rebuilt with the next seed, at most
+    MAX_RESEEDS times, before reporting failure. Every other exception
+    propagates: a reseed must not hide a fault in the computation.
     """
     ring = PolyRing(prime, 4)
     params = {"t": t, "r": r, "d": d, "p": prime, "seed": seed}
@@ -182,34 +183,34 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
     for attempt in range(MAX_RESEEDS + 1):
         used_seed = seed + attempt
         params["seed"] = used_seed
+        t0 = time.perf_counter()
         try:
-            t0 = time.perf_counter()
             pair = build_uniform_pair(t, r, d, random.Random(used_seed), ring=ring)
             gens = gorenstein_generators(pair)
-            report.timings["construct"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            profile = hilbert_function(gens, cutoff)
-            report.timings["hilbert"] = time.perf_counter() - t0
-            if not profile.stabilized:
-                last_error = f"no stabilization by degree {cutoff} (seed {used_seed})"
-                continue
-            report.observed_degree = profile.stabilized_value
-            report.observed_h_vector = h_vector_from_profile(profile, 3)
-
-            t0 = time.perf_counter()
-            report.generator_degrees_observed = minimal_generator_degrees(gens)
-            report.timings["generators"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            report.pfaffian_span_equal = pfaffian_span_check(pair)
-            report.timings["pfaffian"] = time.perf_counter() - t0
-            report.failure = None
-            report.recompute_passed()
-            return report
-        except ValueError as exc:
+        except DegenerateSample as exc:
             last_error = f"{exc} (seed {used_seed})"
             continue
+        report.timings["construct"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        profile = hilbert_function(gens, cutoff)
+        report.timings["hilbert"] = time.perf_counter() - t0
+        if not profile.stabilized:
+            last_error = f"no stabilization by degree {cutoff} (seed {used_seed})"
+            continue
+        report.observed_degree = profile.stabilized_value
+        report.observed_h_vector = h_vector_from_profile(profile, 3)
+
+        t0 = time.perf_counter()
+        report.generator_degrees_observed = minimal_generator_degrees(gens)
+        report.timings["generators"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        report.pfaffian_span_equal = pfaffian_span_check(pair)
+        report.timings["pfaffian"] = time.perf_counter() - t0
+        report.failure = None
+        report.recompute_passed()
+        return report
     report.failure = f"genericity failure after {MAX_RESEEDS + 1} attempts: {last_error}"
     report.passed = False
     return report

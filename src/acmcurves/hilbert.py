@@ -144,18 +144,24 @@ def _regularity_witness(ideal: IdealPresentation, m: int) -> int | None:
 
 
 def h_vector_from_profile(profile: HilbertProfile, codimension: int) -> tuple[int, ...]:
-    """h-vector extracted from a Hilbert-function profile by finite differences.
+    """h-vector extracted from a certified Hilbert-function profile by finite
+    differences.
 
     A codimension-c subscheme has a quotient ring of Krull dimension
     nvars - c, so that many difference passes reduce the Hilbert function to
-    the Artinian one. Requires the profile to reach the flat tail: the
-    differenced sequence must end in at least two zeros. Negative entries
-    mean the input is not arithmetically Cohen-Macaulay at this cutoff (or
-    the presentation is not saturated) and are reported as an error.
+    the Artinian one. Only a profile with a certificate is accepted: without
+    one the tail of the values is not known to be final, so no h-vector is
+    backed by it. The differenced sequence must end in at least two zeros.
+    Negative entries mean the input is not arithmetically Cohen-Macaulay at
+    this cutoff (or the presentation is not saturated) and are reported as
+    an error.
     """
     ndiff = profile.nvars - codimension
     if ndiff < 0:
         raise ValueError(f"codimension {codimension} exceeds the ambient {profile.nvars} variables")
+    if profile.certificate is None:
+        raise ValueError(f"profile not certified by degree {profile.cutoff}: no h-vector "
+                         "(positive-dimensional, shared component or cutoff too small)")
     seq = list(profile.values)
     for _ in range(ndiff):
         seq = [seq[i] - (seq[i - 1] if i else 0) for i in range(len(seq))]

@@ -1,103 +1,103 @@
 """Exact rank and row-space computation over F_p.
 
-This is the hot kernel behind every Hilbert-function value. It runs a
-right-looking blocked Gaussian elimination: pivots are found and eliminated
-panel by panel with vectorized integer ops, and the trailing columns are
-then updated with float64 matrix products, which BLAS makes fast.
+This is the hot kernel behind every Hilbert-function value. The reduced row
+echelon form comes from a recursion on the rows: reduce the top half, clear
+its pivot columns from the bottom half with one matrix product, reduce the
+rest of the bottom half, then clear the new pivot columns from the top half
+with a second product. Blocks of at most _LEAF rows are reduced pivot by
+pivot. An echelon form is kept as its pivot columns and the block R on the
+other (free) columns, so products touch free columns only.
 
-Exactness of the float64 products: every operand is reduced into [0, p),
-so an inner product over a panel of at most _BLOCK columns is bounded by
-_BLOCK * (p-1)**2. Panels are _BLOCK columns wide only while that bound is
-below 2**53 (for p below about 1.2e7), so every intermediate is an exactly
-representable integer. Larger moduli run the same elimination as one panel
-spanning every column: there is no trailing float64 update, and the int64
-panel arithmetic stays exact for every p < 2**31.
+The products run in float64 (BLAS) and are reduced once mod p in int64, all
+in _submul. With operands in [0, p) an inner product of length k is at most
+k*(p-1)**2: below 2**53 one float64 product is exact; otherwise both sides
+are split into 16-bit limbs, whose products stay exact for k < 2**21. Pivot
+steps multiply two entries below 2**31 in int64: one path for every p < 2**31.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_BLOCK = 64
+_LEAF = 16
 
 
-def _eliminate(a: np.ndarray, p: int, block: int) -> int:
-    """In-place row reduction of an int64 matrix with entries in [0, p),
-    in panels of `block` columns; returns the rank.
-
-    On exit, rows [0, rank) hold a row-echelon basis of the row space and
-    all later rows are zero.
-    """
-    m, n = a.shape
-    r = 0
-    c = 0
-    while r < m and c < n:
-        b = min(block, n - c)
-        ntrail = n - (c + b)
-        panel = a[r:, c:c + b]
-        # multipliers are read only by the trailing update
-        mults = np.zeros((m - r, b), dtype=np.int64) if ntrail else None
-        scales = np.zeros(b, dtype=np.int64)
-        k = 0
-        for j in range(b):
-            nz = np.nonzero(panel[k:, j])[0]
-            if nz.size == 0:
-                continue
-            i = k + int(nz[0])
-            if i != k:
-                a[[r + k, r + i], :] = a[[r + i, r + k], :]
-                if ntrail:
-                    mults[[k, i], :] = mults[[i, k], :]
-            inv = pow(int(panel[k, j]), p - 2, p)
-            panel[k, j:] = panel[k, j:] * inv % p
-            scales[k] = inv
-            f = panel[k + 1:, j]
-            rows = np.nonzero(f)[0]
-            if rows.size:
-                fr = f[rows]
-                panel[k + 1 + rows, j:] = (panel[k + 1 + rows, j:] - fr[:, None] * panel[k, j:][None, :]) % p
-                if ntrail:
-                    mults[k + 1 + rows, k] = fr
-            k += 1
-            if r + k == m:
-                break
-        if k > 0 and ntrail > 0:
-            trail = a[r:, c + b:]
-            # Pivot rows were scaled and eliminated against each other inside
-            # the panel; replay that triangular transform on their trailing
-            # parts: final_k = s_k * (orig_k - sum_{i<k} m_ki * final_i).
-            finals = np.empty((k, ntrail), dtype=np.float64)
-            for kk in range(k):
-                row = trail[kk].astype(np.float64)
-                if kk:
-                    row = (row - mults[kk, :kk].astype(np.float64) @ finals[:kk]) % p
-                finals[kk] = row * float(scales[kk]) % p
-            trail[:k] = finals.astype(np.int64)
-            if m - r - k > 0:
-                upd = mults[k:, :k].astype(np.float64) @ finals
-                trail[k:] = (trail[k:] - upd.astype(np.int64)) % p
-        r += k
-        c += b
-    return r
+def _submul(b: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """(b - x @ y) mod p as float64, for operands with entries in [0, p)."""
+    if x.shape[1] * (p - 1) ** 2 < 2**53:
+        c = x @ y
+        np.subtract(b, c, out=c)
+        c = c.astype(np.int64)
+    else:
+        xh, yh = np.floor(x / 65536), np.floor(y / 65536)
+        xl, yl = x - 65536 * xh, y - 65536 * yh
+        mid = (xh @ yl + xl @ yh).astype(np.int64) % p
+        c = b.astype(np.int64) - (xl @ yl).astype(np.int64) - 65536 * mid
+        c -= (xh @ yh).astype(np.int64) % p * (2**32 % p)
+    c %= p
+    return c.astype(np.float64)
 
 
-def _reduce(a, p: int) -> tuple[np.ndarray, int]:
-    a = np.array(a, dtype=np.int64, order="C", copy=True)
+def _complement(cols: np.ndarray, k: int) -> np.ndarray:
+    keep = np.ones(k, dtype=bool)
+    keep[cols] = False
+    return keep.nonzero()[0]
+
+
+def _leaf(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination of a few rows, one pivot at a time."""
+    a = x.astype(np.int64)
+    piv = []
+    for i in a.any(axis=1).nonzero()[0]:
+        nz = a[i].nonzero()[0]
+        if nz.size == 0:
+            continue
+        c = nz[0]
+        a[i, c:] = a[i, c:] * pow(int(a[i, c]), p - 2, p) % p
+        hit = a[:, c].nonzero()[0]
+        hit = hit[hit != i]
+        # rows of the block are zero left of c, so only columns c.. change
+        a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[i, c:]) % p
+        piv.append(c)
+    # a row without a pivot is zero when reached and stays zero
+    piv = np.array(piv, dtype=np.intp)
+    return piv, a[a.any(axis=1)][:, _complement(piv, a.shape[1])].astype(np.float64)
+
+
+def _rref(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of x (entries in [0, p)) as (piv, float64 R):
+    row i is 1 at column piv[i], 0 at the other pivots, R[i] on the rest."""
+    m, k = x.shape
+    if m <= _LEAF or k == 0:
+        return _leaf(x, p)
+    h = m // 2
+    piv1, r1 = _rref(x[:h], p)
+    free1 = _complement(piv1, k)
+    piv2, r2 = _rref(_submul(x[h:, free1], x[h:, piv1], r1, p), p)
+    keep = _complement(piv2, len(free1))
+    r1 = _submul(r1[:, keep], r1[:, piv2], r2, p)
+    return np.concatenate([piv1, free1[piv2]]), np.vstack([r1, r2])
+
+
+def _reduce(a, p: int) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    if a.size == 0:
-        return a, 0
-    a %= p
-    block = _BLOCK if _BLOCK * (p - 1) ** 2 < 2**53 else a.shape[1]
-    return a, _eliminate(a, p, block)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
+    return _rref(a, p)
 
 
 def rank_modp(a, p: int) -> int:
     """Exact rank of an integer matrix over F_p."""
-    return _reduce(a, p)[1]
+    return len(_reduce(a, p)[0])
 
 
 def echelon_basis(a, p: int) -> np.ndarray:
     """Row-echelon basis (rank x n int64 array) of the row space over F_p."""
-    reduced, rank = _reduce(a, p)
-    return reduced[:rank]
+    piv, r = _reduce(a, p)
+    order = np.argsort(piv)
+    basis = np.zeros((len(piv), np.shape(a)[1]), dtype=np.int64)
+    basis[np.arange(len(piv)), piv[order]] = 1
+    basis[:, _complement(piv, basis.shape[1])] = r[order]
+    return basis

@@ -24,6 +24,10 @@ Monomial = tuple  # exponent vector, one non-negative entry per variable
 # exponents are packed into a single int for fast vectorized index lookups
 _CODE_RADIX = 1 << 15
 
+# Largest monomial basis PolyRing.form builds (degree 82 in 4 variables),
+# far above the degree-24 pieces (2925 monomials) that verify (4,1,3) ranks.
+MAX_FORM_DIM = 100_000
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the 2**31 modulus cap."""
@@ -173,7 +177,8 @@ class PolyRing:
 
     def form(self, degree: int, terms: dict | Iterable = ()) -> Form:
         """Build a form from (exponent vector, coefficient) pairs, summing
-        repeated monomials mod p."""
+        repeated monomials mod p. A degree whose monomial basis exceeds
+        MAX_FORM_DIM is refused before the basis is built."""
         items = terms.items() if isinstance(terms, dict) else terms
         monos, coefs = [], []
         for mono, coef in items:
@@ -186,6 +191,9 @@ class PolyRing:
             coefs.append(int(coef) % self.p)
         # encode before allocating: a huge exponent fails here, not in np.zeros
         codes = self._encode(np.array(monos, dtype=np.int64).reshape(-1, self.nvars))
+        if self.dim(degree) > MAX_FORM_DIM:
+            raise ValueError(f"degree {degree} too large: {self.dim(degree)} monomials "
+                             f"exceed the limit of {MAX_FORM_DIM}")
         coeffs = np.zeros(self.dim(degree), dtype=np.int64)
         if monos:
             np.add.at(coeffs, self._positions(degree, codes), coefs)

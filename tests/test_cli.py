@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -103,6 +104,14 @@ class TestIntersect:
         assert code == 2
         assert "exponent too large" in err
 
+    def test_huge_degree_exit_2_before_building_the_basis(self, capsys, tmp_path):
+        # one term of degree 3000: the degree-3000 basis has 4.5e9 monomials
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "intersect", *self._write_pair(tmp_path, 3000))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "degree 3000 too large" in err
+
     def test_out_of_memory_exit_2(self, capsys, tmp_path, monkeypatch):
         def refuse(self, degree, terms=()):
             raise MemoryError("cannot allocate the form")
@@ -126,11 +135,18 @@ class TestIntersect:
 
 class TestHilbertInput:
     @staticmethod
-    def _hilbert(capsys, tmp_path, generators):
+    def _hilbert(capsys, tmp_path, generators, *extra):
         path = tmp_path / "ideal.json"
         path.write_text(json.dumps({"p": 32003, "nvars": 4, "generators": generators}))
-        code, out, err = run_cli(capsys, "hilbert", "--input", str(path))
+        code, out, err = run_cli(capsys, "hilbert", "--input", str(path), *extra)
         return code, json.loads(out) if out else None, err
+
+    @staticmethod
+    def _twisted_cubic():
+        x = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        plus = lambda a, b: [a[k] + b[k] for k in range(4)]
+        return [[[1, plus(x[i], x[j + 1])], [32002, plus(x[j], x[i + 1])]]
+                for i, j in [(0, 1), (0, 2), (1, 2)]]
 
     def test_false_plateau_refused(self, capsys, tmp_path):
         gens = [[[1, [1, 0, 0, 0]]], [[1, [0, 1, 0, 0]]], [[1, [0, 0, 2, 0]]],
@@ -149,14 +165,20 @@ class TestHilbertInput:
         assert doc["stabilized"] is False and doc["certificate"] is None
 
     def test_twisted_cubic_uncertified(self, capsys, tmp_path):
-        x = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        plus = lambda a, b: [a[k] + b[k] for k in range(4)]
-        minors = [[[1, plus(x[i], x[j + 1])], [32002, plus(x[j], x[i + 1])]]
-                  for i, j in [(0, 1), (0, 2), (1, 2)]]
-        code, doc, _ = self._hilbert(capsys, tmp_path, minors)
+        code, doc, _ = self._hilbert(capsys, tmp_path, self._twisted_cubic())
         assert code == 0
         assert doc["values"] == [1, 4, 7, 10, 13, 16, 19, 22, 25]
         assert doc["stabilizedValue"] is None and doc["certificate"] is None
+
+    def test_codim_on_uncertified_profile_exit_3(self, capsys, tmp_path):
+        # the differences (1, 2, 0, ...) look like an h-vector, but no
+        # certificate backs them: the profile is printed without one
+        code, doc, err = self._hilbert(capsys, tmp_path, self._twisted_cubic(), "--codim", "2")
+        assert code == 3
+        assert doc["values"] == [1, 4, 7, 10, 13, 16, 19, 22, 25]
+        assert doc["certificate"] is None
+        assert "hVector" not in doc and "hVectorSum" not in doc
+        assert "not certified" in err
 
 
 class TestVerify:

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from acmcurves import jsonio
-from acmcurves.construct import (build_linear_pair, build_uniform_pair, embed_pair,
-                                 gorenstein_generators)
+from acmcurves import harness, jsonio
+from acmcurves.construct import (DegenerateSample, build_linear_pair, build_uniform_pair,
+                                 embed_pair, gorenstein_generators)
 from acmcurves.harness import (SCENARIO_SEEDS, conjecture_evidence, intersect_count,
                                perturbed_pfaffian_span_check, pfaffian_span_check,
                                rational_point_oracle, run_scenario, tensor_views,
@@ -84,6 +84,40 @@ class TestVerifyConstruction:
     def test_parameter_errors_propagate(self):
         with pytest.raises(ValueError):
             verify_construction(1, 1, 1)
+
+    def test_computation_errors_are_not_reseeded(self, monkeypatch):
+        # a fault that surfaces as ValueError must not be masked by a later seed
+        calls = []
+
+        def broken(profile, codimension):
+            calls.append(profile)
+            raise ValueError("negative difference at degree 3: not ACM at this cutoff")
+        monkeypatch.setattr(harness, "h_vector_from_profile", broken)
+        with pytest.raises(ValueError, match="not ACM"):
+            verify_construction(4, 2, 1, seed=5)
+        assert len(calls) == 1
+
+    def test_degenerate_sample_is_reseeded(self, monkeypatch):
+        real = harness.gorenstein_generators
+        seen = []
+
+        def first_degenerate(pair):
+            seen.append(pair)
+            if len(seen) == 1:
+                raise DegenerateSample("zero maximal minor: generator 0")
+            return real(pair)
+        monkeypatch.setattr(harness, "gorenstein_generators", first_degenerate)
+        rep = verify_construction(4, 2, 1, seed=5)
+        assert rep.passed and rep.parameters["seed"] == 6
+
+    def test_degenerate_samples_exhaust_the_reseeds(self, monkeypatch):
+        def always(pair):
+            raise DegenerateSample("zero maximal minor: generator 0")
+        monkeypatch.setattr(harness, "gorenstein_generators", always)
+        rep = verify_construction(3, 1, 1, seed=2)
+        assert not rep.passed
+        assert rep.failure == ("genericity failure after 4 attempts: "
+                               "zero maximal minor: generator 0 (seed 5)")
 
 
 class TestPfaffianSpan:

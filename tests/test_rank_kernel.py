@@ -1,0 +1,123 @@
+"""The recursive rank kernel against the plain-integer reference.
+
+Shapes are chosen around the recursion: row counts at and next to the leaf
+size and its doubles, ranks that reach the column count before the last
+row, zero rows and columns, and moduli on both sides of the float64/limb
+switch of the product helper.
+"""
+
+import numpy as np
+import pytest
+from test_linalg import naive_rank
+
+from acmcurves.linalg import _LEAF, _submul, echelon_basis, rank_modp
+
+PRIMES = [7, 32003, 11863477, 2147483629]
+
+
+def low_rank(rng, m, n, rank, p):
+    """A random m x n matrix of rank at most `rank` over F_p."""
+    coeffs = rng.integers(0, p, size=(m, rank)).astype(object)
+    basis = rng.integers(0, p, size=(rank, n)).astype(object)
+    return (coeffs @ basis % p).astype(np.int64)
+
+
+def check(a, p):
+    """rank_modp equals the reference; the echelon basis has that many rows,
+    a strict staircase of leading columns, and spans the row space."""
+    rank = naive_rank(a, p)
+    assert rank_modp(a, p) == rank
+    basis = echelon_basis(a, p)
+    assert basis.shape == (rank, a.shape[1])
+    assert basis.min(initial=0) >= 0 and basis.max(initial=0) < p
+    leads = [int(np.flatnonzero(row)[0]) for row in basis]
+    assert all(x < y for x, y in zip(leads, leads[1:]))
+    if rank:
+        assert naive_rank(np.vstack([basis, a]), p) == rank
+    return rank
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("m,n", [(20, 45), (45, 20), (37, 37), (60, 100), (100, 60), (66, 66)])
+def test_fuzz_rank_deficient(m, n, p):
+    rng = np.random.default_rng(m * 1000 + n + p % 1009)
+    for _ in range(3):
+        check(low_rank(rng, m, n, int(rng.integers(0, min(m, n))), p), p)
+
+
+@pytest.mark.parametrize("p", [7, 2147483629])
+def test_zero_rows_and_columns(p):
+    rng = np.random.default_rng(p % 97)
+    a = low_rank(rng, 50, 40, 12, p)
+    a[[0, 7, 17, 18, 33, 49]] = 0
+    a[:, [0, 1, 5, 20, 39]] = 0
+    assert check(a, p) == 12
+    assert check(np.zeros((40, 0), dtype=np.int64), p) == 0
+    assert check(np.zeros((0, 9), dtype=np.int64), p) == 0
+    assert check(np.zeros((33, 21), dtype=np.int64), p) == 0
+
+
+@pytest.mark.parametrize("p", [32003, 2147483629])
+@pytest.mark.parametrize("m,n", [(60, 8), (90, 30), (40, 17)])
+def test_rank_reaches_n_before_the_last_row(m, n, p):
+    # full column rank is reached in the top rows; the rest is zero width
+    rng = np.random.default_rng(m + n)
+    a = rng.integers(0, p, size=(m, n))
+    assert check(a, p) == n
+
+
+@pytest.mark.parametrize("p", [7, 32003, 2147483629])
+@pytest.mark.parametrize("rows", [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1,
+                                  2 * _LEAF, 2 * _LEAF + 1, 4 * _LEAF + 1])
+def test_rows_around_the_leaf_size(rows, p):
+    rng = np.random.default_rng(rows * 31 + p % 13)
+    for n, rank in [(rows + 9, rows - 3), (rows - 2, rows - 2), (2 * rows, rows)]:
+        check(low_rank(rng, rows, n, rank, p), p)
+
+
+@pytest.mark.parametrize("p", [32003, 11863099, 2147483629])
+@pytest.mark.parametrize("k", [1, 64, 65, 4096, 2**21 - 1])
+def test_products_exact_at_worst_case_magnitude(k, p):
+    # every operand entry p - 1: each inner product is k*(p-1)**2, the
+    # largest the helper can meet. (p-1)**2 = 1 mod p, so (b - x @ y) = b - k.
+    # At p = 11863099, k = 64 is the last float64 product and 65 the first
+    # limb product; 4096 exceeds the widest Macaulay matrix verify ranks
+    # (2925 columns) and 2**21 - 1 is the largest k the limbs allow.
+    rows, cols = (1, 1) if k > 4096 else (3, 5)
+    x = np.full((rows, k), p - 1, dtype=np.float64)
+    y = np.full((k, cols), p - 1, dtype=np.float64)
+    b = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols) % p
+    got = _submul(b, x, y, p)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, (b - k) % p)
+
+
+@pytest.mark.parametrize("p", [32003, 11863099, 2147483629])
+@pytest.mark.parametrize("k", [3, 64, 65, 700])
+def test_products_match_integer_arithmetic(k, p):
+    rng = np.random.default_rng(k + p % 101)
+    x = rng.integers(0, p, size=(9, k))
+    y = rng.integers(0, p, size=(k, 11))
+    b = rng.integers(0, p, size=(9, 11))
+    want = (b.astype(object) - x.astype(object) @ y.astype(object)) % p
+    got = _submul(b.astype(np.float64), x.astype(np.float64), y.astype(np.float64), p)
+    assert np.array_equal(got.astype(np.int64), want.astype(np.int64))
+
+
+@pytest.mark.parametrize("p", [32003, 2147483629])
+def test_pivot_steps_exact_at_worst_case_magnitude(p):
+    full = np.full((3 * _LEAF, 50), p - 1, dtype=np.int64)
+    assert check(full, p) == 1
+    upper = np.triu(full[:40, :40])
+    assert check(upper, p) == 40
+
+
+def test_entries_outside_the_field_are_reduced():
+    p = 101
+    rng = np.random.default_rng(3)
+    a = low_rank(rng, 30, 25, 9, p)
+    a[:, ::3] = 0
+    # every entry moves by a nonzero multiple of p: zeros become +-p, 2p, ...
+    shifted = a + p * rng.choice([-3, -1, 1, 2], size=a.shape)
+    assert rank_modp(shifted, p) == 9
+    assert np.array_equal(echelon_basis(shifted, p), echelon_basis(a, p))
