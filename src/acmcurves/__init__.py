@@ -20,20 +20,20 @@ from .hilbert import (HilbertProfile, IdealPresentation, graded_piece_spans_equa
                       h_vector_from_profile, hilbert_function, ideal_piece_dim,
                       macaulay_matrix, minimal_generator_degrees)
 from .linalg import echelon_basis, rank_modp
-from .matforms import (FormMatrix, SkewFormMatrix, degree_matrix_of, determinant,
-                       maximal_minors, minor, pfaffian, principal_pfaffians)
-from .ring import (DEFAULT_PRIME, FieldSpec, Form, Monomial, PolyRing, is_prime,
-                   monomial_degree, random_form)
+from .matforms import (FormMatrix, SkewFormMatrix, determinant, maximal_minors, minor,
+                       pfaffian, principal_pfaffians)
+from .ring import (DEFAULT_PRIME, Form, Monomial, PolyRing, is_prime, monomial_degree,
+                   random_form)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiShape", "ConstructionPair", "DEFAULT_PRIME", "DegenerateSample", "FieldSpec", "Form",
+    "BettiShape", "ConstructionPair", "DEFAULT_PRIME", "DegenerateSample", "Form",
     "FormMatrix", "HilbertProfile", "IdealPresentation", "Monomial",
     "PolyRing", "SCENARIO_SEEDS", "SkewFormMatrix", "TensorViews",
     "VerificationReport", "binom", "bound_linear", "bound_uniform",
     "build_linear_pair", "build_uniform_pair", "conjecture_evidence", "deg_acm",
-    "degree_matrix_of", "determinant", "echelon_basis", "embed_pair",
+    "determinant", "echelon_basis", "embed_pair",
     "expected_betti", "gorenstein_generators",
     "graded_piece_spans_equal", "h_vector_from_profile", "h_vector_gorenstein",
     "hilbert_from_resolution", "hilbert_function", "ideal_piece_dim",

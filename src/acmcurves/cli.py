@@ -4,18 +4,15 @@ Subcommands: bound, construct, hilbert, intersect, verify, scenario.
 Output is a single JSON document on stdout (canonical key order, so equal
 configs produce byte-identical bytes); --pretty switches to indented form.
 Errors go to stderr. Exit codes: 0 success / verification passed, 1
-verification failed, 2 usage or input errors, 3 length or h-vector not
-certified.
-
-The default modulus may be set with the ACMCURVES_PRIME environment
-variable; an explicit --prime flag wins.
+verification failed, 2 usage or input errors (malformed documents
+included), 3 length or h-vector not certified. The modulus is --prime,
+default 32003.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -30,11 +27,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NOT_STABILIZED = 3
-
-
-def _default_prime() -> int:
-    env = os.environ.get("ACMCURVES_PRIME")
-    return int(env) if env else DEFAULT_PRIME
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--r", type=int, required=True)
     c.add_argument("--d", type=int, default=1)
-    c.add_argument("--prime", type=int, default=None)
+    c.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out-dir", type=Path, default=None,
                    help="also write mSmall/mBig/union/skew/generators as separate JSON files")
@@ -72,14 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--t", type=int, required=True)
     v.add_argument("--r", type=int, required=True)
     v.add_argument("--d", type=int, default=1)
-    v.add_argument("--prime", type=int, default=None)
+    v.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     v.add_argument("--seed", type=int, default=0)
 
     s = sub.add_parser("scenario", help="run a scripted example scenario")
     s.add_argument("--id", required=True,
                    help="ex-11, ex-26, ex-2d3 (with --d), or ex-mixed")
     s.add_argument("--d", type=int, default=2)
-    s.add_argument("--prime", type=int, default=None)
+    s.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     s.add_argument("--seed", type=int, default=None,
                    help="override the pinned scenario seed")
     return ap
@@ -107,12 +99,11 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    prime = args.prime if args.prime is not None else _default_prime()
     pair = build_uniform_pair(args.t, args.r, args.d, random.Random(args.seed),
-                              ring=PolyRing(prime, 4))
+                              ring=PolyRing(args.prime, 4))
     gens = gorenstein_generators(pair)
     docs = {
-        "t": args.t, "r": args.r, "d": args.d, "p": prime, "seed": args.seed,
+        "t": args.t, "r": args.r, "d": args.d, "p": args.prime, "seed": args.seed,
         "mSmall": jsonio.matrix_to_doc(pair.m_small),
         "mBig": jsonio.matrix_to_doc(pair.m_big),
         "unionMatrix": jsonio.matrix_to_doc(union_matrix(pair)),
@@ -158,15 +149,13 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    prime = args.prime if args.prime is not None else _default_prime()
-    report = verify_construction(args.t, args.r, args.d, seed=args.seed, prime=prime)
+    report = verify_construction(args.t, args.r, args.d, seed=args.seed, prime=args.prime)
     _emit(jsonio.report_to_doc(report), args.pretty)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_scenario(args) -> int:
-    prime = args.prime if args.prime is not None else _default_prime()
-    report = run_scenario(args.id, d=args.d, seed=args.seed, prime=prime)
+    report = run_scenario(args.id, d=args.d, seed=args.seed, prime=args.prime)
     _emit(jsonio.report_to_doc(report), args.pretty)
     return EXIT_OK if report.passed else EXIT_FAIL
 

@@ -62,7 +62,7 @@ def _check_params(t: int, r: int, d: int) -> None:
 
 def _random_matrix(ring: PolyRing, rows: int, cols: int, d: int, rng: random.Random) -> FormMatrix:
     ent = [[random_form(d, ring, rng) for _ in range(cols)] for _ in range(rows)]
-    return FormMatrix(ring, ent, [[d] * cols for _ in range(rows)], hilbert_burch=True)
+    return FormMatrix(ring, ent, [[d] * cols for _ in range(rows)])
 
 
 def embed_pair(m_small: FormMatrix, t: int, rng: random.Random) -> ConstructionPair:
@@ -90,7 +90,7 @@ def embed_pair(m_small: FormMatrix, t: int, rng: random.Random) -> ConstructionP
         else:
             row += [zero] * tr
         ent.append(row)
-    m_big = FormMatrix(ring, ent, [[d] * (t + 1) for _ in range(t)], hilbert_burch=True)
+    m_big = FormMatrix(ring, ent, [[d] * (t + 1) for _ in range(t)])
     return ConstructionPair(t=t, r=r, d=d, m_small=m_small, m_big=m_big)
 
 

@@ -14,6 +14,7 @@ Hilbert value is the length of the intersection scheme); reports say
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 import time
@@ -27,7 +28,7 @@ from .construct import (ConstructionPair, DegenerateSample, build_uniform_pair,
 from .hilbert import (HilbertProfile, IdealPresentation, graded_piece_spans_equal,
                       h_vector_from_profile, hilbert_function,
                       minimal_generator_degrees)
-from .matforms import FormMatrix, maximal_minors, minor, principal_pfaffians
+from .matforms import FormMatrix, SkewFormMatrix, maximal_minors, minor, principal_pfaffians
 from .ring import DEFAULT_PRIME, Form, PolyRing, random_form
 
 MAX_RESEEDS = 3
@@ -125,12 +126,12 @@ def _count_intersection(forms: list[Form], ring: PolyRing,
     return profile.stabilized_value, profile
 
 
-def _spans_match_generators(pair: ConstructionPair, pfs: list[Form]) -> bool:
-    pfs = [f for f in pfs if not f.is_zero]
+def _spans_match_generators(pair: ConstructionPair, gens: IdealPresentation,
+                            skew: SkewFormMatrix) -> bool:
+    pfs = [f for f in principal_pfaffians(skew) if not f.is_zero]
     if len(pfs) != 2 * pair.t - 2 * pair.r + 1:
         return False
-    gens = gorenstein_generators(pair)
-    pf_ideal = IdealPresentation(ring=pair.m_big.ring, generators=tuple(pfs))
+    pf_ideal = IdealPresentation(ring=gens.ring, generators=tuple(pfs))
     return graded_piece_spans_equal(gens, pf_ideal, pair.t * pair.d)
 
 
@@ -141,7 +142,7 @@ def pfaffian_span_check(pair: ConstructionPair) -> bool:
     Both sets have all their generators in degrees <= t*d, so agreement up
     there forces the two ideals to be equal.
     """
-    return _spans_match_generators(pair, principal_pfaffians(skew_matrix_G(pair)))
+    return _spans_match_generators(pair, gorenstein_generators(pair), skew_matrix_G(pair))
 
 
 def perturbed_pfaffian_span_check(pair: ConstructionPair, rng: random.Random) -> bool:
@@ -157,7 +158,7 @@ def perturbed_pfaffian_span_check(pair: ConstructionPair, rng: random.Random) ->
     j = rng.randrange(i + 1, g.size)
     slot = (pair.r + 1) * pair.d if j < top else pair.d
     g2 = g.with_entry(i, j, random_form(slot, pair.m_big.ring, rng))
-    return _spans_match_generators(pair, principal_pfaffians(g2))
+    return _spans_match_generators(pair, gorenstein_generators(pair), g2)
 
 
 def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
@@ -206,7 +207,7 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
         report.timings["generators"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        report.pfaffian_span_equal = pfaffian_span_check(pair)
+        report.pfaffian_span_equal = _spans_match_generators(pair, gens, skew_matrix_G(pair))
         report.timings["pfaffian"] = time.perf_counter() - t0
         report.failure = None
         report.recompute_passed()
@@ -233,20 +234,11 @@ def rational_point_oracle(ideal: IdealPresentation, q: int) -> tuple[int, list[t
     for lead in range(4):
         fixed = (0,) * lead + (1,)
         free = 3 - lead
-        for rest in _tuples(q, free):
+        for rest in itertools.product(range(q), repeat=free):
             pt = fixed + rest
             if all(g.evaluate(pt) == 0 for g in gens):
                 points.append(pt)
     return len(points), points
-
-
-def _tuples(q: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    for head in range(q):
-        for tail in _tuples(q, n - 1):
-            yield (head,) + tail
 
 
 def tensor_views(m: FormMatrix) -> TensorViews:
@@ -276,8 +268,7 @@ def tensor_views(m: FormMatrix) -> TensorViews:
 
 def _twisted_cubic_matrix(ring: PolyRing) -> FormMatrix:
     x = [ring.variable(i) for i in range(4)]
-    return FormMatrix(ring, [[x[0], x[1], x[2]], [x[1], x[2], x[3]]],
-                      [[1, 1, 1]] * 2, hilbert_burch=True)
+    return FormMatrix(ring, [[x[0], x[1], x[2]], [x[1], x[2], x[3]]], [[1, 1, 1]] * 2)
 
 
 def _mixed_degree_matrix(ring: PolyRing, rng: random.Random) -> FormMatrix:

@@ -202,18 +202,13 @@ def graded_piece_spans_equal(a: IdealPresentation, b: IdealPresentation,
     generators of degree e, so if the pieces agree at every generator degree
     of either set up to up_to, each set's generators of degree e lie in the
     other ideal and the pieces agree in every degree <= up_to. Only those
-    degrees are compared: echelon bases of equal rank that stay at that rank
-    when stacked.
+    degrees are compared, by their reduced row echelon forms: a row space has
+    exactly one, so equal forms are equal pieces.
     """
     if a.ring != b.ring:
         raise ValueError("presentations live in different rings")
     p = a.ring.p
     degrees = {g.degree for g in a.generators + b.generators if g.degree <= up_to}
-    for d in sorted(degrees):
-        ea = echelon_basis(macaulay_matrix(a, d), p)
-        eb = echelon_basis(macaulay_matrix(b, d), p)
-        if ea.shape[0] != eb.shape[0]:
-            return False
-        if ea.shape[0] and rank_modp(np.vstack([ea, eb]), p) != ea.shape[0]:
-            return False
-    return True
+    return all(np.array_equal(echelon_basis(macaulay_matrix(a, d), p),
+                              echelon_basis(macaulay_matrix(b, d), p))
+               for d in sorted(degrees))

@@ -2,7 +2,9 @@
 
 A form is a list of [coefficient, [e0, ..., en]] pairs, sorted by exponent
 vector so that equal objects serialize to identical bytes. Matrix and ideal
-documents carry the modulus and variable count in their header.
+documents carry the modulus and variable count in their header. The
+decoders turn a document of the wrong shape (a list for an object, a short
+degree list, a term without its exponent vector) into a ValueError.
 """
 
 from __future__ import annotations
@@ -23,16 +25,6 @@ def form_from_pairs(ring: PolyRing, degree: int, pairs) -> Form:
     return ring.form(degree, [(tuple(e), int(c)) for c, e in pairs])
 
 
-def form_to_doc(f: Form) -> dict:
-    return {"p": f.ring.p, "nvars": f.ring.nvars, "degree": f.degree,
-            "terms": form_to_pairs(f)}
-
-
-def form_from_doc(doc: dict) -> Form:
-    ring = PolyRing(int(doc["p"]), int(doc["nvars"]))
-    return form_from_pairs(ring, int(doc["degree"]), doc["terms"])
-
-
 def matrix_to_doc(m: FormMatrix | SkewFormMatrix) -> dict:
     if isinstance(m, SkewFormMatrix):
         rows = cols = m.size
@@ -51,22 +43,25 @@ def matrix_to_doc(m: FormMatrix | SkewFormMatrix) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> FormMatrix:
-    ring = PolyRing(int(doc["p"]), int(doc["nvars"]))
-    deg = doc.get("degreeMatrix")
-    entries = []
-    for i, row in enumerate(doc["entries"]):
-        out_row = []
-        for j, pairs in enumerate(row):
-            if pairs:
-                degree = sum(pairs[0][1])
-            elif deg is not None:
-                degree = int(deg[i][j])
-            else:
-                degree = 0
-            out_row.append(form_from_pairs(ring, degree, pairs))
-        entries.append(out_row)
-    dm = [[int(v) for v in row] for row in deg] if deg is not None else None
-    return FormMatrix(ring, entries, dm)
+    try:
+        ring = PolyRing(int(doc["p"]), int(doc["nvars"]))
+        deg = doc.get("degreeMatrix")
+        entries = []
+        for i, row in enumerate(doc["entries"]):
+            out_row = []
+            for j, pairs in enumerate(row):
+                if pairs:
+                    degree = sum(pairs[0][1])
+                elif deg is not None:
+                    degree = int(deg[i][j])
+                else:
+                    degree = 0
+                out_row.append(form_from_pairs(ring, degree, pairs))
+            entries.append(out_row)
+        dm = [[int(v) for v in row] for row in deg] if deg is not None else None
+        return FormMatrix(ring, entries, dm)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed matrix document: {exc}") from exc
 
 
 def ideal_to_doc(ideal: IdealPresentation) -> dict:
@@ -79,17 +74,20 @@ def ideal_to_doc(ideal: IdealPresentation) -> dict:
 
 
 def ideal_from_doc(doc: dict) -> IdealPresentation:
-    if "generators" in doc and isinstance(doc["generators"], dict):
-        doc = doc["generators"]
-    ring = PolyRing(int(doc["p"]), int(doc["nvars"]))
-    gens = []
-    degrees = doc.get("degrees")
-    for k, pairs in enumerate(doc["generators"]):
-        if not pairs:
-            raise ValueError("ideal documents may not contain zero generators")
-        degree = int(degrees[k]) if degrees is not None else sum(pairs[0][1])
-        gens.append(form_from_pairs(ring, degree, pairs))
-    return IdealPresentation(ring=ring, generators=tuple(gens))
+    try:
+        if isinstance(doc.get("generators"), dict):
+            doc = doc["generators"]
+        ring = PolyRing(int(doc["p"]), int(doc["nvars"]))
+        gens = []
+        degrees = doc.get("degrees")
+        for k, pairs in enumerate(doc["generators"]):
+            if not pairs:
+                raise ValueError("ideal documents may not contain zero generators")
+            degree = int(degrees[k]) if degrees is not None else sum(pairs[0][1])
+            gens.append(form_from_pairs(ring, degree, pairs))
+        return IdealPresentation(ring=ring, generators=tuple(gens))
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed ideal document: {exc}") from exc
 
 
 def profile_to_doc(profile: HilbertProfile) -> dict:

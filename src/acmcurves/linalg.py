@@ -31,9 +31,11 @@ def _submul(b: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     else:
         xh, yh = np.floor(x / 65536), np.floor(y / 65536)
         xl, yl = x - 65536 * xh, y - 65536 * yh
-        mid = (xh @ yl + xl @ yh).astype(np.int64) % p
-        c = b.astype(np.int64) - (xl @ yl).astype(np.int64) - 65536 * mid
-        c -= (xh @ yh).astype(np.int64) % p * (2**32 % p)
+        # one limb product at a time: the terms are below p, p * 2**16 (twice)
+        # and p * p, so c stays above -2**63
+        c = b.astype(np.int64)
+        for u, v, scale in ((xl, yl, 1), (xh, yl, 65536), (xl, yh, 65536), (xh, yh, 2**32 % p)):
+            c -= (u @ v).astype(np.int64) % p * scale
     c %= p
     return c.astype(np.float64)
 
@@ -94,7 +96,8 @@ def rank_modp(a, p: int) -> int:
 
 
 def echelon_basis(a, p: int) -> np.ndarray:
-    """Row-echelon basis (rank x n int64 array) of the row space over F_p."""
+    """Reduced row echelon form (rank x n int64 array, rows in pivot order) of
+    the row space over F_p; a row space has exactly one."""
     piv, r = _reduce(a, p)
     order = np.argsort(piv)
     basis = np.zeros((len(piv), np.shape(a)[1]), dtype=np.int64)

@@ -20,13 +20,11 @@ class FormMatrix:
     """Rectangular matrix of forms with an explicit degree matrix.
 
     Zero entries keep a declared degree slot so block layouts with forced
-    zeros stay representable. When hilbert_burch=True the degree matrix is
-    required to be non-decreasing along rows and non-increasing down columns.
+    zeros stay representable.
     """
 
     def __init__(self, ring: PolyRing, entries: Sequence[Sequence[Form]],
-                 degree_matrix: Sequence[Sequence[int]] | None = None,
-                 hilbert_burch: bool = False):
+                 degree_matrix: Sequence[Sequence[int]] | None = None):
         rows = len(entries)
         if rows == 0 or len(entries[0]) == 0:
             raise ValueError("matrix must be non-empty")
@@ -41,20 +39,11 @@ class FormMatrix:
                     raise ValueError("entry ring mismatch")
                 if not e.is_zero and e.degree != degree_matrix[i][j]:
                     raise ValueError(f"entry ({i},{j}) has degree {e.degree}, slot says {degree_matrix[i][j]}")
-        if hilbert_burch:
-            u = degree_matrix
-            for i in range(rows):
-                for j in range(cols):
-                    if j + 1 < cols and u[i][j] > u[i][j + 1]:
-                        raise ValueError("degree matrix not non-decreasing along rows")
-                    if i + 1 < rows and u[i][j] < u[i + 1][j]:
-                        raise ValueError("degree matrix not non-increasing down columns")
         self.ring = ring
         self.rows = rows
         self.cols = cols
         self.entries = tuple(tuple(row) for row in entries)
         self.degree_matrix = tuple(tuple(int(d) for d in row) for row in degree_matrix)
-        self.hilbert_burch = hilbert_burch
 
     def entry(self, i: int, j: int) -> Form:
         return self.entries[i][j]
@@ -220,11 +209,6 @@ def _minor_degree(m: FormMatrix, rowset, colset) -> int:
     return sum(m.degree_matrix[i][j] for i, j in zip(rs, cs))
 
 
-def degree_matrix_of(m: FormMatrix) -> list[list[int]]:
-    """Entry degrees as a plain grid; zero entries report their declared slot."""
-    return [list(row) for row in m.degree_matrix]
-
-
 # ---- Pfaffians ----
 
 def _pfaffian_rec(entries, memo, ring: PolyRing, subset: tuple) -> Form:
@@ -266,10 +250,8 @@ def _pfaffian_rec(entries, memo, ring: PolyRing, subset: tuple) -> Form:
     return total
 
 
-def pfaffian(m: SkewFormMatrix | FormMatrix) -> Form:
+def pfaffian(m: SkewFormMatrix) -> Form:
     """Pfaffian of an even-size skew-symmetric form matrix."""
-    if isinstance(m, FormMatrix):
-        m = SkewFormMatrix(m.ring, m.entries)
     if m.size % 2:
         return m.ring.zero()
     memo: dict[tuple, Form] = {}

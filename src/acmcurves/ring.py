@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,19 +52,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """A prime field F_p with an odd modulus below 2**31."""
-
-    p: int = DEFAULT_PRIME
-
-    def __post_init__(self):
-        if not (2 < self.p < 2**31):
-            raise ValueError(f"modulus must satisfy 2 < p < 2**31, got {self.p}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-
-
 def monomial_degree(m: Monomial) -> int:
     return sum(m)
 
@@ -80,7 +66,8 @@ def _gen_monomials(degree: int, nvars: int) -> Iterator[Monomial]:
 
 
 class PolyRing:
-    """Context for F_p[x_0, ..., x_{nvars-1}] restricted to homogeneous pieces.
+    """Context for F_p[x_0, ..., x_{nvars-1}] restricted to homogeneous pieces,
+    p an odd prime below 2**31.
 
     Instances cache, per degree, the monomial basis (in a fixed generation
     order), its exponent matrix as a numpy array and the sorted codes used to
@@ -89,7 +76,10 @@ class PolyRing:
     """
 
     def __init__(self, p: int = DEFAULT_PRIME, nvars: int = 4):
-        self.field = FieldSpec(p)
+        if not (2 < p < 2**31):
+            raise ValueError(f"modulus must satisfy 2 < p < 2**31, got {p}")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         self.p = p
         if nvars < 1:
             raise ValueError("need at least one variable")

@@ -120,6 +120,15 @@ class TestIntersect:
         assert code == 2
         assert "cannot allocate" in err
 
+    def test_short_degree_matrix_exit_2(self, capsys, tmp_path):
+        args = self._write_pair(tmp_path, 2)
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["degreeMatrix"] = []
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "intersect", *args)
+        assert code == 2
+        assert "error: malformed matrix document" in err
+
     def test_self_intersection_not_certified(self, capsys, tmp_path):
         x = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         rows = [[x[0], x[1], x[2]], [x[1], x[2], x[3]]]  # the twisted cubic's matrix
@@ -147,6 +156,21 @@ class TestHilbertInput:
         plus = lambda a, b: [a[k] + b[k] for k in range(4)]
         return [[[1, plus(x[i], x[j + 1])], [32002, plus(x[j], x[i + 1])]]
                 for i, j in [(0, 1), (0, 2), (1, 2)]]
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param([], id="top-level-list"),
+        pytest.param({"p": 32003, "nvars": 4, "degrees": [1],
+                      "generators": [[[1, [1, 0, 0, 0]]], [[1, [0, 1, 0, 0]]]]},
+                     id="short-degrees"),
+        pytest.param({"p": 32003, "nvars": 4, "generators": [[[1]]]}, id="term-without-exponents"),
+    ])
+    def test_malformed_document_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "hilbert", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error: malformed ideal document" in err
 
     def test_false_plateau_refused(self, capsys, tmp_path):
         gens = [[[1, [1, 0, 0, 0]]], [[1, [0, 1, 0, 0]]], [[1, [0, 0, 2, 0]]],
@@ -201,14 +225,6 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["parameters"]["p"] == 65537
 
-    def test_env_var_prime_flag_wins(self, capsys, monkeypatch):
-        monkeypatch.setenv("ACMCURVES_PRIME", "101")
-        _, out, _ = run_cli(capsys, "verify", "--t", "2", "--r", "1", "--seed", "1")
-        assert json.loads(out)["parameters"]["p"] == 101
-        _, out, _ = run_cli(capsys, "verify", "--t", "2", "--r", "1", "--seed", "1",
-                            "--prime", "32003")
-        assert json.loads(out)["parameters"]["p"] == 32003
-
 
 class TestScenario:
     def test_ex_11_exit_0(self, capsys):
@@ -259,8 +275,36 @@ GOLDEN_STDOUT = [
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
-def test_golden_stdout(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("ACMCURVES_PRIME", raising=False)
+def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout of a command reading the files of `construct --t 4 --r 2
+# --prime P --out-dir DIR`, recorded before the document decoders learned to
+# refuse malformed shapes; "{dir}" stands for DIR.
+INTERSECT = ("intersect", "--a", "{dir}/mSmall.json", "--b", "{dir}/mBig.json")
+HILBERT = ("hilbert", "--input", "{dir}/generators.json", "--codim", "3")
+GOLDEN_FILE_STDOUT = [
+    pytest.param(32003, INTERSECT,
+                 "10b6bab58bd875fcef9ad8095ce3716b9277660d3b0f14c8bf9f2d7faf7a91e9", id="intersect"),
+    pytest.param(32003, HILBERT,
+                 "3686cafcc5137519a82b5c23ed26473502453ab65009bec301382b8890779902", id="hilbert"),
+    pytest.param(2147483629, INTERSECT,
+                 "10b6bab58bd875fcef9ad8095ce3716b9277660d3b0f14c8bf9f2d7faf7a91e9",
+                 id="intersect-large-prime"),
+    pytest.param(2147483629, HILBERT,
+                 "3686cafcc5137519a82b5c23ed26473502453ab65009bec301382b8890779902",
+                 id="hilbert-large-prime"),
+]
+
+
+@pytest.mark.parametrize("prime,argv,digest", GOLDEN_FILE_STDOUT)
+def test_golden_file_stdout(capsys, tmp_path, prime, argv, digest):
+    code, _, _ = run_cli(capsys, "construct", "--t", "4", "--r", "2", "--prime", str(prime),
+                         "--out-dir", str(tmp_path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

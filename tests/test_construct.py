@@ -138,8 +138,7 @@ class TestGenerators:
 
     def test_zero_minor_is_a_degenerate_sample(self, ring):
         # M_small = [x0, 0]: the minor deleting column 0 is the zero entry
-        small = FormMatrix(ring, [[ring.variable(0), ring.zero(1)]], [[1, 1]],
-                           hilbert_burch=True)
+        small = FormMatrix(ring, [[ring.variable(0), ring.zero(1)]], [[1, 1]])
         pair = embed_pair(small, 2, random.Random(10))
         with pytest.raises(DegenerateSample, match="zero maximal minor: generator 0"):
             gorenstein_generators(pair)

@@ -110,6 +110,21 @@ class TestVerifyConstruction:
         rep = verify_construction(4, 2, 1, seed=5)
         assert rep.passed and rep.parameters["seed"] == 6
 
+    def test_generators_built_once_per_attempt(self, monkeypatch):
+        # the Pfaffian span check reuses the attempt's generators
+        real = harness.gorenstein_generators
+        calls = []
+
+        def counted(pair):
+            calls.append(pair)
+            if len(calls) == 1:
+                raise DegenerateSample("zero maximal minor: generator 0")
+            return real(pair)
+        monkeypatch.setattr(harness, "gorenstein_generators", counted)
+        rep = verify_construction(4, 2, 1, seed=5)
+        assert rep.passed and rep.pfaffian_span_equal is True
+        assert rep.parameters["seed"] == 6 and len(calls) == 2
+
     def test_degenerate_samples_exhaust_the_reseeds(self, monkeypatch):
         def always(pair):
             raise DegenerateSample("zero maximal minor: generator 0")

@@ -16,8 +16,8 @@ def ring():
 
 def test_form_round_trip(ring):
     f = random_form(3, ring, random.Random(0))
-    doc = jsonio.form_to_doc(f)
-    assert jsonio.form_from_doc(doc) == f
+    pairs = jsonio.form_to_pairs(f)
+    assert jsonio.form_from_pairs(ring, 3, json.loads(json.dumps(pairs))) == f
 
 
 def test_form_pairs_sorted_for_determinism(ring):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from acmcurves.matforms import (FormMatrix, SkewFormMatrix, degree_matrix_of,
+from acmcurves.matforms import (FormMatrix, SkewFormMatrix,
                                 determinant, maximal_minors, minor, pfaffian,
                                 principal_pfaffians)
 from acmcurves.ring import PolyRing, random_form
@@ -121,33 +121,24 @@ class TestDeterminant:
 class TestDegreeMatrix:
     def test_all_linear(self, ring):
         m = random_matrix(ring, 3, 4, 1, random.Random(1))
-        assert degree_matrix_of(m) == [[1] * 4 for _ in range(3)]
+        assert m.degree_matrix == ((1,) * 4,) * 3
 
     def test_mixed_degree_grid(self, ring):
         rng = random.Random(2)
         ent = [[random_form(d, ring, rng) for d in (3, 2, 1)] for _ in range(2)]
         m = FormMatrix(ring, ent, [[3, 2, 1], [3, 2, 1]])
-        assert degree_matrix_of(m) == [[3, 2, 1], [3, 2, 1]]
+        assert m.degree_matrix == ((3, 2, 1), (3, 2, 1))
 
     def test_transpose_relation(self, ring):
         m = random_matrix(ring, 2, 3, 2, random.Random(3))
         mt = m.transpose()
-        got = degree_matrix_of(mt)
-        expect = [[degree_matrix_of(m)[i][j] for i in range(2)] for j in range(3)]
-        assert got == expect
+        expect = tuple(tuple(m.degree_matrix[i][j] for i in range(2)) for j in range(3))
+        assert mt.degree_matrix == expect
 
     def test_zero_entry_keeps_slot(self, ring):
         x0 = ring.variable(0)
         m = FormMatrix(ring, [[x0, ring.zero(3)]], [[1, 3]])
-        assert degree_matrix_of(m) == [[1, 3]]
-
-    def test_hilbert_burch_flag_enforced(self, ring):
-        rng = random.Random(4)
-        ent = [[random_form(d, ring, rng) for d in (3, 2, 1)] for _ in range(2)]
-        with pytest.raises(ValueError):
-            FormMatrix(ring, ent, [[3, 2, 1], [3, 2, 1]], hilbert_burch=True)
-        uniform = random_matrix(ring, 2, 3, 1, rng)
-        FormMatrix(ring, uniform.entries, hilbert_burch=True)  # monotone: fine
+        assert m.degree_matrix == ((1, 3),)
 
     def test_degree_slot_mismatch_rejected(self, ring):
         x0 = ring.variable(0)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from acmcurves.ring import FieldSpec, PolyRing, is_prime, random_form
+from acmcurves.ring import PolyRing, is_prime, random_form
 
 
 @pytest.fixture
@@ -35,18 +35,20 @@ def vars4(ring):
 
 
 class TestFieldSpec:
+    """The field F_p of a PolyRing: p must be an odd prime below 2**31."""
+
     def test_default_prime(self):
-        assert FieldSpec().p == 32003
+        assert PolyRing().p == 32003
         assert is_prime(32003)
 
     @pytest.mark.parametrize("bad", [0, 1, 2, 4, 32001, 2**31])
     def test_rejects_bad_moduli(self, bad):
         with pytest.raises(ValueError):
-            FieldSpec(bad)
+            PolyRing(bad)
 
     def test_accepts_small_primes(self):
-        assert FieldSpec(7).p == 7
-        assert FieldSpec(101).p == 101
+        assert PolyRing(7).p == 7
+        assert PolyRing(101).p == 101
 
 
 class TestFormAdd:
