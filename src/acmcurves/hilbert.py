@@ -5,6 +5,12 @@ of the matrix whose rows are monomial multiples of the generators, written
 against the degree-d monomial basis, and its dimension is an exact rank over
 F_p. A certified constant Hilbert function gives the length of a
 zero-dimensional scheme; finite differences recover h-vectors.
+
+A certified profile mostly comes from the Artinian reduction: with
+l = x_{n-1}, multiplication by l gives
+H(d) = S(d) - sum_{e<d} dim((I : l)/I)_e, where S is the running sum of the
+Hilbert function H' of R/(I + l), a ring in n - 1 variables. So H' in n - 1
+variables and one n-variable rank, where the sum vanishes, give the profile.
 """
 
 from __future__ import annotations
@@ -62,21 +68,16 @@ def macaulay_matrix(ideal: IdealPresentation, d: int) -> np.ndarray:
     """Rows are m*g for each generator g and each monomial m of degree d - deg g,
     written against the degree-d monomial basis (one column per monomial)."""
     ring = ideal.ring
-    ncols = ring.dim(d)
-    blocks = []
-    for g in ideal.generators:
-        k = d - g.degree
-        if k < 0:
-            continue
+    gens = [g for g in ideal.generators if g.degree <= d]
+    out = np.zeros((sum(ring.dim(d - g.degree) for g in gens), ring.dim(d)), dtype=np.int64)
+    row = 0
+    for g in gens:
         # built per call: caching these tables, unlike the small product
         # tables of mul_index, raises the peak memory of long sweeps
-        idx = ring.product_positions(k, g.degree)
-        block = np.zeros((len(idx), ncols), dtype=np.int64)
-        block[np.arange(len(idx))[:, None], idx] = g.coeffs[None, :]
-        blocks.append(block)
-    if not blocks:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.vstack(blocks)
+        idx = ring.product_positions(d - g.degree, g.degree)
+        out[np.arange(row, row + len(idx))[:, None], idx] = g.coeffs[None, :]
+        row += len(idx)
+    return out
 
 
 def ideal_piece_dim(ideal: IdealPresentation, d: int) -> int:
@@ -91,16 +92,30 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
     from a degree m on when possible.
 
     The default cutoff is the sum of the two largest generator degrees plus 4
-    (a lone generator counts twice). Once m = d - 1 >= max(1, top generator
-    degree) and H(m-1) = H(m) = H(m+1), a variable x_v with
-    (I + x_v)_m = R_m certifies that I is m-regular (Bayer and Stillman,
-    Invent. Math. 87, 1987, Thm 1.10; Eisenbud, The Geometry of Syzygies,
-    ch. 4): it gives H(m+1) = dim (R/(I : x_v))_m, so H(m) = H(m+1) is
-    (I : x_v)_m = I_m. As dim R/I <= 1, H(d) = H(m) for all d >= m, and the
-    values up to the cutoff are filled in, not ranked. This direction of the
-    theorem holds for any linear form, generic or not, over any field: base
-    change to the algebraic closure of F_p preserves sums, colons and Hilbert
-    functions.
+    (a lone generator counts twice). A certificate (m, v) says that
+    (I + x_v)_m = R_m and (I : x_v)_m = I_m with m >= max(1, top generator
+    degree). By the criterion of Bayer and Stillman (Invent. Math. 87, 1987,
+    Thm 1.10; Eisenbud, The Geometry of Syzygies, ch. 4) I is then
+    m-regular, and as dim R/I <= 1, H(d) = H(m) for all d >= m, so the values
+    up to the cutoff are filled in, not ranked. This direction of the theorem
+    holds for any linear form, generic or not, over any field: base change to
+    the algebraic closure of F_p preserves sums, colons and Hilbert functions.
+
+    The Artinian reduction is tried first. With l = x_{n-1} and H' the
+    Hilbert function of R/(I + l), ranked in n - 1 variables,
+    H(d) = S(d) - sum_{e<d} dim((I : l)/I)_e, S(d) = H'(0) + ... + H'(d).
+    Let m < cutoff be the first e >= max(1, top generator degree) with
+    H'(e) = 0; then H' is 0 from m on and S(m + 1) = S(m). One rank proves
+    the whole profile: if H(m + 1) = S(m), every (I : l)_e with e <= m equals
+    I_e, so H(d) = S(d) for d <= m + 1 and the certificate is (m, n - 1).
+    Otherwise (l-torsion in a degree <= m, as in a non-saturated
+    presentation; H' never vanishes; or n = 1) every degree is ranked in n
+    variables: once m = d - 1 >= max(1, top generator degree) and
+    H(m-1) = H(m) = H(m+1), a variable x_v with (I + x_v)_m = R_m gives
+    H(m+1) = dim (R/(I : x_v))_m, so H(m) = H(m+1) is (I : x_v)_m = I_m.
+    Both ways give the same profile: when the reduction succeeds,
+    H(d) - H(d-1) = H'(d), so the sweep would stop at the same m and pass
+    x_{n-1} first.
     Without a certificate stabilized_value is None, an explicit non-result.
     """
     degs = sorted((g.degree for g in ideal.generators), reverse=True)
@@ -109,36 +124,59 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     ring = ideal.ring
+    low = max([1] + degs[:1])
+    if ring.nvars > 1:
+        cut = _restrict(ideal, ring.nvars - 1)
+        sums: list[int] = []
+        for e in range(cutoff):
+            sums.append((sums[-1] if sums else 0) + cut.ring.dim(e) - ideal_piece_dim(cut, e))
+            if e >= low and sums[e] == sums[e - 1]:
+                if ring.dim(e + 1) - ideal_piece_dim(ideal, e + 1) == sums[e]:
+                    return _certified(sums, cutoff, ring.nvars, (e, ring.nvars - 1))
+                break
     values: list[int] = []
     for d in range(cutoff + 1):
         values.append(ring.dim(d) - ideal_piece_dim(ideal, d))
         m = d - 1
-        if m >= max([1] + degs[:1]) and values[m - 1] == values[m] == values[d]:
+        if m >= low and values[m - 1] == values[m] == values[d]:
             v = _regularity_witness(ideal, m)
             if v is not None:
-                start = m - 1
-                while start and values[start - 1] == values[m]:
-                    start -= 1
-                return HilbertProfile(values=tuple(values) + (values[m],) * (cutoff - d),
-                                      cutoff=cutoff, nvars=ring.nvars,
-                                      stabilized_value=values[m], stabilized_at=start,
-                                      certificate=(m, v))
+                return _certified(values[:d], cutoff, ring.nvars, (m, v))
     return HilbertProfile(values=tuple(values), cutoff=cutoff, nvars=ring.nvars)
 
 
+def _certified(values: list[int], cutoff: int, nvars: int,
+               certificate: tuple[int, int]) -> HilbertProfile:
+    """The profile from H(0..m) and a certificate (m, v): H(d) = H(m) from
+    d = m - 1 on, filled in up to the cutoff."""
+    m = certificate[0]
+    start = m - 1
+    while start and values[start - 1] == values[m]:
+        start -= 1
+    return HilbertProfile(values=tuple(values) + (values[m],) * (cutoff - m), cutoff=cutoff,
+                          nvars=nvars, stabilized_value=values[m], stabilized_at=start,
+                          certificate=certificate)
+
+
+def _restrict(ideal: IdealPresentation, v: int) -> IdealPresentation:
+    """The image of I in R/(x_v), a ring in the other n - 1 variables. Setting
+    x_v = 0 keeps the coefficients of the monomials free of x_v: in
+    descending-lex order they are the basis of the ring in those variables."""
+    ring = ideal.ring
+    sub = PolyRing(ring.p, ring.nvars - 1)
+    restricted = (Form(sub, g.degree, g.coeffs[ring.exps(g.degree)[:, v] == 0])
+                  for g in ideal.generators)
+    return IdealPresentation(ring=sub, generators=tuple(f for f in restricted if not f.is_zero))
+
+
 def _regularity_witness(ideal: IdealPresentation, m: int) -> int | None:
-    """First v in n-1, ..., 0 with (I + x_v)_m = R_m, or None. Setting x_v = 0
-    keeps the coefficients of the monomials free of x_v: in descending-lex
-    order they are the basis of the ring in the other n - 1 variables."""
+    """First v in n-1, ..., 0 with (I + x_v)_m = R_m, or None."""
     ring = ideal.ring
     if ring.nvars == 1:
         return 0  # (I + x_0)_m = R_m for every m >= 1
-    sub = PolyRing(ring.p, ring.nvars - 1)
     for v in reversed(range(ring.nvars)):
-        restricted = (Form(sub, g.degree, g.coeffs[ring.exps(g.degree)[:, v] == 0])
-                      for g in ideal.generators)
-        cut = IdealPresentation(ring=sub, generators=tuple(f for f in restricted if not f.is_zero))
-        if ideal_piece_dim(cut, m) == sub.dim(m):
+        cut = _restrict(ideal, v)
+        if ideal_piece_dim(cut, m) == cut.ring.dim(m):
             return v
     return None
 

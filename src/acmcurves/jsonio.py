@@ -59,8 +59,11 @@ def matrix_from_doc(doc: dict) -> FormMatrix:
                 out_row.append(form_from_pairs(ring, degree, pairs))
             entries.append(out_row)
         dm = [[int(v) for v in row] for row in deg] if deg is not None else None
-        return FormMatrix(ring, entries, dm)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed matrix document: {exc}") from exc
+    try:
+        return FormMatrix(ring, entries, dm)
+    except ValueError as exc:  # ragged rows, a degree slot or shape that does not fit
         raise ValueError(f"malformed matrix document: {exc}") from exc
 
 

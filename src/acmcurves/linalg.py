@@ -22,19 +22,30 @@ import numpy as np
 _LEAF = 16
 
 
-def _submul(b: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """(b - x @ y) mod p as float64, for operands with entries in [0, p)."""
-    if x.shape[1] * (p - 1) ** 2 < 2**53:
-        c = x @ y
-        np.subtract(b, c, out=c)
+def _submul(a: np.ndarray, bcols: np.ndarray, xcols: np.ndarray, y: np.ndarray,
+            p: int) -> np.ndarray:
+    """(a[:, bcols] - a[:, xcols] @ y) mod p as float64, for entries in [0, p).
+    The column blocks are gathered here, not by the caller: on the float path
+    the block of x is freed before that of b is gathered, so the two are
+    never alive together."""
+    if len(xcols) * (p - 1) ** 2 < 2**53:
+        c = a[:, xcols] @ y
+        np.subtract(a[:, bcols], c, out=c)
         c = c.astype(np.int64)
     else:
-        xh, yh = np.floor(x / 65536), np.floor(y / 65536)
-        xl, yl = x - 65536 * xh, y - 65536 * yh
-        # one limb product at a time: the terms are below p, p * 2**16 (twice)
-        # and p * p, so c stays above -2**63
-        c = b.astype(np.int64)
-        for u, v, scale in ((xl, yl, 1), (xh, yl, 65536), (xl, yh, 65536), (xh, yh, 2**32 % p)):
+        x = a[:, xcols]
+        yh = np.floor(y / 65536)
+        yl = y - 65536 * yh
+        # one limb product at a time: the terms are below p * 2**16 (twice),
+        # p * p and p, so c stays above -2**63; one limb of x at a time, the
+        # high one, then the low one made from it in place
+        c = a[:, bcols].astype(np.int64)
+        u = np.floor(x / 65536)
+        for v, scale in ((yl, 65536), (yh, 2**32 % p)):
+            c -= (u @ v).astype(np.int64) % p * scale
+        u *= -65536
+        u += x
+        for v, scale in ((yl, 1), (yh, 65536)):
             c -= (u @ v).astype(np.int64) % p * scale
     c %= p
     return c.astype(np.float64)
@@ -75,9 +86,9 @@ def _rref(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     h = m // 2
     piv1, r1 = _rref(x[:h], p)
     free1 = _complement(piv1, k)
-    piv2, r2 = _rref(_submul(x[h:, free1], x[h:, piv1], r1, p), p)
+    piv2, r2 = _rref(_submul(x[h:], free1, piv1, r1, p), p)
     keep = _complement(piv2, len(free1))
-    r1 = _submul(r1[:, keep], r1[:, piv2], r2, p)
+    r1 = _submul(r1, keep, piv2, r2, p)
     return np.concatenate([piv1, free1[piv2]]), np.vstack([r1, r2])
 
 

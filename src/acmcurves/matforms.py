@@ -33,6 +33,8 @@ class FormMatrix:
             raise ValueError("ragged rows")
         if degree_matrix is None:
             degree_matrix = [[e.degree for e in row] for row in entries]
+        elif len(degree_matrix) != rows or any(len(row) != cols for row in degree_matrix):
+            raise ValueError(f"degree matrix must have the {rows}x{cols} shape of the entries")
         for i, row in enumerate(entries):
             for j, e in enumerate(row):
                 if e.ring != ring:

@@ -83,18 +83,14 @@ class TestHilbertFunction:
     def test_no_rank_above_certified_degree(self, monkeypatch):
         pair = build_linear_pair(4, 2, random.Random(3))
         ideal = gorenstein_generators(pair)
-        ranked = []
-
-        def counting(piece_ideal, d):
-            ranked.append((piece_ideal.ring.nvars, d))
-            return ideal_piece_dim(piece_ideal, d)
-
-        monkeypatch.setattr(hilbert, "ideal_piece_dim", counting)
+        ranked = ranks_taken(monkeypatch)
         prof = hilbert_function(ideal, 20)
         m, v = prof.certificate
-        # the sweep ranks degrees 0..m+1, the certificate ranks degree m in 3 variables
-        assert [d for n, d in ranked if n == 4] == list(range(m + 2))
-        assert {d for n, d in ranked if n == 3} == {m}
+        # the Artinian reduction ranks degrees 0..m in 3 variables, then the
+        # one 4-variable rank at m+1 certifies the whole profile
+        assert v == 3
+        assert [d for n, d in ranked if n == 4] == [m + 1]
+        assert [d for n, d in ranked if n == 3] == list(range(m + 1))
         assert prof.cutoff == 20 and len(prof.values) == 21
         assert prof.values[m:] == (11,) * (21 - m)
         assert prof.stabilized_value == 11 and prof.stabilized_at == m - 1
@@ -102,6 +98,18 @@ class TestHilbertFunction:
     def test_values_start_at_one(self, ring):
         prof = hilbert_function(twisted_cubic_ideal(ring), 3)
         assert prof.values[0] == 1
+
+
+def ranks_taken(monkeypatch):
+    """Record (nvars, degree) of every graded piece hilbert_function ranks."""
+    ranked = []
+
+    def counting(piece_ideal, d):
+        ranked.append((piece_ideal.ring.nvars, d))
+        return ideal_piece_dim(piece_ideal, d)
+
+    monkeypatch.setattr(hilbert, "ideal_piece_dim", counting)
+    return ranked
 
 
 def false_plateau_ideal(ring):
@@ -131,6 +139,40 @@ class TestCertificate:
         assert prof.stabilized_value == 1
         assert prof.certificate == (6, 3)
         assert prof.stabilized_at == 5
+
+    def test_non_saturated_presentation_falls_back_to_the_sweep(self, ring, monkeypatch):
+        # x3 = 0 leaves (x0, x1, x2^2), so H' = 1, 2, 0, ... and S(5) = 3, but
+        # H(6) = 1: x2 * x3^4 is x3-torsion in degree 4, so the reduction fails
+        # after its one 4-variable rank and every degree 0..m+1 is ranked
+        ranked = ranks_taken(monkeypatch)
+        prof = hilbert_function(false_plateau_ideal(ring))
+        m, v = prof.certificate
+        assert (m, v) == (6, 3)
+        assert [d for n, d in ranked if n == 4] == [6] + list(range(m + 2))
+        assert prof.values == ranked_values(false_plateau_ideal(ring), prof.cutoff)
+
+    def test_random_ideals_equal_their_ranked_values(self, monkeypatch):
+        """Random points ideals (saturated) and their products with the
+        maximal ideal (not saturated, torsion in the lowest degree): every
+        certified profile equals the ranks in every degree up to the cutoff."""
+        ring = PolyRing()
+        rng = random.Random(31)
+        ranked = ranks_taken(monkeypatch)
+        reductions = fallbacks = 0
+        for degs in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 1, 3)]:
+            gens = tuple(random_form(e, ring, rng) for e in degs)
+            times_m = tuple(g * ring.variable(i) for g in gens for i in range(4))
+            for ideal in (IdealPresentation(ring=ring, generators=gens),
+                          IdealPresentation(ring=ring, generators=times_m)):
+                ranked.clear()
+                prof = hilbert_function(ideal)
+                full = sum(n == 4 for n, _ in ranked)
+                assert prof.certificate is not None
+                assert prof.stabilized_value == degs[0] * degs[1] * degs[2]
+                assert prof.values == ranked_values(ideal, prof.cutoff), (degs, ideal)
+                reductions += full == 1
+                fallbacks += full > 1
+        assert reductions == fallbacks == 5
 
     def test_plateau_above_generator_degrees_refused(self):
         # (x1^3, x1*x2^3, x0*x1) in three variables: the plateau 6, 6, 6 sits at

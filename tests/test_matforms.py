@@ -145,6 +145,13 @@ class TestDegreeMatrix:
         with pytest.raises(ValueError):
             FormMatrix(ring, [[x0]], [[2]])
 
+    @pytest.mark.parametrize("degrees", [[[1, 1]], [[1], [1]], [[1, 1], [1, 1], [1, 1]], []],
+                             ids=["short", "ragged", "long", "empty"])
+    def test_degree_matrix_shape_mismatch_rejected(self, ring, degrees):
+        x0, x1 = ring.variable(0), ring.variable(1)
+        with pytest.raises(ValueError, match="shape"):
+            FormMatrix(ring, [[x0, x1], [x1, x0]], degrees)
+
 
 class TestSkewAndPfaffian:
     def test_skewness_validated(self, ring):

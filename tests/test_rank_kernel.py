@@ -75,6 +75,12 @@ def test_rows_around_the_leaf_size(rows, p):
         check(low_rank(rng, rows, n, rank, p), p)
 
 
+def submul(b, x, y, p):
+    """b - x @ y mod p through _submul, with b and x the column blocks of one matrix."""
+    a = np.hstack([b, x])
+    return _submul(a, np.arange(b.shape[1]), np.arange(b.shape[1], a.shape[1]), y, p)
+
+
 @pytest.mark.parametrize("p", [32003, 11863099, 2147483629])
 @pytest.mark.parametrize("k", [1, 64, 65, 4096, 2**21 - 1])
 def test_products_exact_at_worst_case_magnitude(k, p):
@@ -87,7 +93,7 @@ def test_products_exact_at_worst_case_magnitude(k, p):
     x = np.full((rows, k), p - 1, dtype=np.float64)
     y = np.full((k, cols), p - 1, dtype=np.float64)
     b = np.arange(rows * cols, dtype=np.float64).reshape(rows, cols) % p
-    got = _submul(b, x, y, p)
+    got = submul(b, x, y, p)
     assert got.dtype == np.float64
     assert np.array_equal(got, (b - k) % p)
 
@@ -100,7 +106,7 @@ def test_products_match_integer_arithmetic(k, p):
     y = rng.integers(0, p, size=(k, 11))
     b = rng.integers(0, p, size=(9, 11))
     want = (b.astype(object) - x.astype(object) @ y.astype(object)) % p
-    got = _submul(b.astype(np.float64), x.astype(np.float64), y.astype(np.float64), p)
+    got = submul(b.astype(np.float64), x.astype(np.float64), y.astype(np.float64), p)
     assert np.array_equal(got.astype(np.int64), want.astype(np.int64))
 
 
