@@ -1,4 +1,4 @@
-"""Hilbert functions of graded quotients via Macaulay-matrix ranks.
+"""Hilbert functions of graded quotients via Macaulay matrices over F_p.
 
 No Groebner bases anywhere: the degree-d piece of an ideal is the row space
 of the matrix whose rows are monomial multiples of the generators, written
@@ -6,11 +6,19 @@ against the degree-d monomial basis, and its dimension is an exact rank over
 F_p. A certified constant Hilbert function gives the length of a
 zero-dimensional scheme; finite differences recover h-vectors.
 
-A certified profile mostly comes from the Artinian reduction: with
-l = x_{n-1}, multiplication by l gives
-H(d) = S(d) - sum_{e<d} dim((I : l)/I)_e, where S is the running sum of the
-Hilbert function H' of R/(I + l), a ring in n - 1 variables. So H' in n - 1
-variables and one n-variable rank, where the sum vanishes, give the profile.
+hilbert_function ranks no such matrix in all n variables. It carries a basis
+Psi_e of the dual space I_e^perp = {v : Mac(e) v = 0} (Macaulay's inverse
+system), so H(e) = dim I_e^perp, and lifts it degree by degree (the lifting
+step of Mourrain, J. Pure Appl. Algebra 117-118, 1997). Let l = x_{n-1} and
+(l o v)(w) = v(l w). The rows (l u') g of Mac(e) vanish on v iff the rows
+u' g vanish on l o v, so together they say l o v lies in I_{e-1}^perp.
+Write v as y on the l-free monomials of degree e and Psi_{e-1} c on the
+l-divisible ones (l w <-> w). The other rows, u g with u free of l, split
+into F_e on the l-free columns, the Macaulay matrix of I at l = 0 in n - 1
+variables (zero rows kept for generators divisible by l), and G_e on the
+l-divisible ones. Then I_e^perp is the kernel of K(e) = [F_e | G_e Psi_{e-1}]
+under (y, c) -> (y, Psi_{e-1} c), so H(e) = dim R'_e + H(e-1) - rank K(e)
+with R' = R/(l). That holds for every ideal, with or without l-torsion.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import echelon_basis, rank_modp
+from .linalg import echelon_basis, kernel_lift, rank_modp
 from .ring import Form, PolyRing
 
 
@@ -92,30 +100,27 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
     from a degree m on when possible.
 
     The default cutoff is the sum of the two largest generator degrees plus 4
-    (a lone generator counts twice). A certificate (m, v) says that
-    (I + x_v)_m = R_m and (I : x_v)_m = I_m with m >= max(1, top generator
-    degree). By the criterion of Bayer and Stillman (Invent. Math. 87, 1987,
-    Thm 1.10; Eisenbud, The Geometry of Syzygies, ch. 4) I is then
-    m-regular, and as dim R/I <= 1, H(d) = H(m) for all d >= m, so the values
-    up to the cutoff are filled in, not ranked. This direction of the theorem
-    holds for any linear form, generic or not, over any field: base change to
-    the algebraic closure of F_p preserves sums, colons and Hilbert functions.
+    (a lone generator counts twice). Each value is H(e) = dim I_e^perp, from
+    a dual basis lifted degree by degree (module docstring): with l = x_{n-1}
+    and R' = R/(l), I_e^perp is the kernel of K(e) = [F_e | G_e Psi_{e-1}],
+    so H(e) = dim R'_e + H(e-1) - rank K(e). The pivots of K(e) in the
+    Psi_{e-1} block number T(e-1) = dim((I : l)/I)_{e-1}, so the lift is a
+    column selection of Psi_{e-1} plus a product with only T(e-1) columns.
+    Psi_e holds dim R_e x H(e) entries, more than Mac(e) when H(e) > dim I_e,
+    as for a hypersurface of high degree; points and curves are far below.
 
-    The Artinian reduction is tried first. With l = x_{n-1} and H' the
-    Hilbert function of R/(I + l), ranked in n - 1 variables,
-    H(d) = S(d) - sum_{e<d} dim((I : l)/I)_e, S(d) = H'(0) + ... + H'(d).
-    Let m < cutoff be the first e >= max(1, top generator degree) with
-    H'(e) = 0; then H' is 0 from m on and S(m + 1) = S(m). One rank proves
-    the whole profile: if H(m + 1) = S(m), every (I : l)_e with e <= m equals
-    I_e, so H(d) = S(d) for d <= m + 1 and the certificate is (m, n - 1).
-    Otherwise (l-torsion in a degree <= m, as in a non-saturated
-    presentation; H' never vanishes; or n = 1) every degree is ranked in n
-    variables: once m = d - 1 >= max(1, top generator degree) and
-    H(m-1) = H(m) = H(m+1), a variable x_v with (I + x_v)_m = R_m gives
-    H(m+1) = dim (R/(I : x_v))_m, so H(m) = H(m+1) is (I : x_v)_m = I_m.
-    Both ways give the same profile: when the reduction succeeds,
-    H(d) - H(d-1) = H'(d), so the sweep would stop at the same m and pass
-    x_{n-1} first.
+    A certificate (m, v) says that (I + x_v)_m = R_m and (I : x_v)_m = I_m
+    with m >= max(1, top generator degree). By the criterion of Bayer and
+    Stillman (Invent. Math. 87, 1987, Thm 1.10; Eisenbud, The Geometry of
+    Syzygies, ch. 4) I is then m-regular, and as dim R/I <= 1, H(d) = H(m)
+    for all d >= m, so the values up to the cutoff are filled in, not
+    computed. This direction of the theorem holds for any linear form,
+    generic or not, over any field: base change to the algebraic closure of
+    F_p preserves sums, colons and Hilbert functions. The sweep looks for
+    one once m = d - 1 >= max(1, top generator degree) and
+    H(m-1) = H(m) = H(m+1): a variable x_v with (I + x_v)_m = R_m, one rank
+    in n - 1 variables, gives H(m+1) = dim (R/(I : x_v))_m, so H(m) = H(m+1)
+    is (I : x_v)_m = I_m.
     Without a certificate stabilized_value is None, an explicit non-result.
     """
     degs = sorted((g.degree for g in ideal.generators), reverse=True)
@@ -125,24 +130,43 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
         raise ValueError("cutoff must be non-negative")
     ring = ideal.ring
     low = max([1] + degs[:1])
-    if ring.nvars > 1:
-        cut = _restrict(ideal, ring.nvars - 1)
-        sums: list[int] = []
-        for e in range(cutoff):
-            sums.append((sums[-1] if sums else 0) + cut.ring.dim(e) - ideal_piece_dim(cut, e))
-            if e >= low and sums[e] == sums[e - 1]:
-                if ring.dim(e + 1) - ideal_piece_dim(ideal, e + 1) == sums[e]:
-                    return _certified(sums, cutoff, ring.nvars, (e, ring.nvars - 1))
-                break
     values: list[int] = []
+    psi = np.zeros((0, 0))
     for d in range(cutoff + 1):
-        values.append(ring.dim(d) - ideal_piece_dim(ideal, d))
+        psi = _lift(ideal, d, psi)
+        values.append(psi.shape[1])
         m = d - 1
         if m >= low and values[m - 1] == values[m] == values[d]:
             v = _regularity_witness(ideal, m)
             if v is not None:
                 return _certified(values[:d], cutoff, ring.nvars, (m, v))
     return HilbertProfile(values=tuple(values), cutoff=cutoff, nvars=ring.nvars)
+
+
+def _lift(ideal: IdealPresentation, e: int, psi: np.ndarray) -> np.ndarray:
+    """Psi_e from Psi_{e-1} (module docstring): a basis of I_e^perp, one
+    vector per column, over the degree-e monomials in _lift_order."""
+    ring = ideal.ring
+    col = _lift_order(ring, e)
+    gens = [g for g in ideal.generators if g.degree <= e]
+    idx = [ring.product_positions(e - g.degree, g.degree)[ring.exps(e - g.degree)[:, -1] == 0]
+           for g in gens]
+    # [F_e | G_e]: the rows u*g of Mac(e) with u free of l, in float64 for
+    # the product with Psi_{e-1}
+    fg = np.zeros((sum(map(len, idx)), len(col)))
+    row = 0
+    for g, t in zip(gens, idx):
+        fg[np.arange(row, row + len(t))[:, None], col[t]] = g.coeffs[None, :]
+        row += len(t)
+    ny = len(col) - len(psi)
+    return kernel_lift(fg[:, :ny], fg[:, ny:], psi, ring.p)
+
+
+def _lift_order(ring: PolyRing, d: int) -> np.ndarray:
+    """Position of each degree-d monomial when they are sorted stably by their
+    power of l: the l-free ones first, then l times the degree d - 1
+    monomials in this same order, the order of the rows of Psi_{d-1}."""
+    return np.argsort(np.argsort(ring.exps(d)[:, -1], kind="stable"))
 
 
 def _certified(values: list[int], cutoff: int, nvars: int,

@@ -6,13 +6,15 @@ its pivot columns from the bottom half with one matrix product, reduce the
 rest of the bottom half, then clear the new pivot columns from the top half
 with a second product. Blocks of at most _LEAF rows are reduced pivot by
 pivot. An echelon form is kept as its pivot columns and the block R on the
-other (free) columns, so products touch free columns only.
+other (free) columns, so products touch free columns only, and a kernel
+basis (kernel_lift) is read off it.
 
-The products run in float64 (BLAS) and are reduced once mod p in int64, all
-in _submul. With operands in [0, p) an inner product of length k is at most
-k*(p-1)**2: below 2**53 one float64 product is exact; otherwise both sides
-are split into 16-bit limbs, whose products stay exact for k < 2**21. Pivot
-steps multiply two entries below 2**31 in int64: one path for every p < 2**31.
+The products run in float64 (BLAS) and are reduced once mod p in int64, in
+_submul and _mulmod. With operands in [0, p) an inner product of length k is
+at most k*(p-1)**2: below 2**53 one float64 product is exact; otherwise both
+sides are split into 16-bit limbs (_limb_mulsub), whose products stay exact
+for k < 2**21. Pivot steps multiply two entries below 2**31 in int64: one
+path for every p < 2**31.
 """
 
 from __future__ import annotations
@@ -33,22 +35,40 @@ def _submul(a: np.ndarray, bcols: np.ndarray, xcols: np.ndarray, y: np.ndarray,
         np.subtract(a[:, bcols], c, out=c)
         c = c.astype(np.int64)
     else:
-        x = a[:, xcols]
-        yh = np.floor(y / 65536)
-        yl = y - 65536 * yh
-        # one limb product at a time: the terms are below p * 2**16 (twice),
-        # p * p and p, so c stays above -2**63; one limb of x at a time, the
-        # high one, then the low one made from it in place
         c = a[:, bcols].astype(np.int64)
-        u = np.floor(x / 65536)
-        for v, scale in ((yl, 65536), (yh, 2**32 % p)):
-            c -= (u @ v).astype(np.int64) % p * scale
-        u *= -65536
-        u += x
-        for v, scale in ((yl, 1), (yh, 65536)):
-            c -= (u @ v).astype(np.int64) % p * scale
+        _limb_mulsub(c, a[:, xcols], y, p)
     c %= p
     return c.astype(np.float64)
+
+
+def _mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p as float64, for entries in [0, p)."""
+    if x.shape[1] * (p - 1) ** 2 < 2**53:
+        c = (x @ y).astype(np.int64)
+    else:
+        c = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+        _limb_mulsub(c, x, y, p)
+        np.negative(c, out=c)
+    c %= p
+    return c.astype(np.float64)
+
+
+def _limb_mulsub(c: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> None:
+    """c -= x @ y in int64, up to multiples of p, for x, y with entries in
+    [0, p) and c in [0, p): both sides split into 16-bit limbs, each limb
+    product reduced mod p before it is scaled."""
+    yh = np.floor(y / 65536)
+    yl = y - 65536 * yh
+    # one limb product at a time: the terms are below p * 2**16 (twice),
+    # p * p and p, so c stays above -2**63; one limb of x at a time, the
+    # high one, then the low one made from it in place
+    u = np.floor(x / 65536)
+    for v, scale in ((yl, 65536), (yh, 2**32 % p)):
+        c -= (u @ v).astype(np.int64) % p * scale
+    u *= -65536
+    u += x
+    for v, scale in ((yl, 1), (yh, 65536)):
+        c -= (u @ v).astype(np.int64) % p * scale
 
 
 def _complement(cols: np.ndarray, k: int) -> np.ndarray:
@@ -115,3 +135,32 @@ def echelon_basis(a, p: int) -> np.ndarray:
     basis[np.arange(len(piv)), piv[order]] = 1
     basis[:, _complement(piv, basis.shape[1])] = r[order]
     return basis
+
+
+def kernel_lift(a: np.ndarray, b: np.ndarray, psi: np.ndarray, p: int) -> np.ndarray:
+    """Basis over F_p of {(y, z) : a y + b z = 0, z in the column span of psi},
+    for psi of full column rank: one vector per column, y above z (float64,
+    entries in [0, p)).
+
+    With z = psi c this is the kernel of K = [a | b psi]. Each free column f
+    of the reduced echelon form of K gives the vector that is 1 at f and -R
+    at the pivots. A pivot in the c block sits in a row that is zero on the
+    y block, so the vectors of the free y columns have z = 0, and those of
+    the free c columns have z = psi c, a column of psi minus psi on the
+    pivot columns of the c block times R there: a column selection of psi
+    when the c block holds no pivot, else one _submul whose product is as
+    small as the number of those pivots.
+    """
+    ny = a.shape[1]
+    piv, r = _rref(np.hstack([a, _mulmod(b, psi, p)]), p)
+    free = _complement(piv, ny + psi.shape[1])
+    nyf = int(np.searchsorted(free, ny))  # free y columns come first
+    inc = piv >= ny
+    out = np.zeros((ny + len(psi), len(free)))
+    out[free[:nyf], np.arange(nyf)] = 1
+    out[piv[~inc]] = np.where(r[~inc] > 0, p - r[~inc], 0)
+    if inc.any():
+        out[ny:, nyf:] = _submul(psi, free[nyf:] - ny, piv[inc] - ny, r[inc][:, nyf:], p)
+    else:
+        out[ny:, nyf:] = psi[:, free[nyf:] - ny]
+    return out

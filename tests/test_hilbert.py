@@ -84,13 +84,14 @@ class TestHilbertFunction:
         pair = build_linear_pair(4, 2, random.Random(3))
         ideal = gorenstein_generators(pair)
         ranked = ranks_taken(monkeypatch)
+        lifted = lifts_taken(monkeypatch)
         prof = hilbert_function(ideal, 20)
         m, v = prof.certificate
-        # the Artinian reduction ranks degrees 0..m in 3 variables, then the
-        # one 4-variable rank at m+1 certifies the whole profile
+        # the dual basis is lifted through degree m+1 and no further; the
+        # one rank is the witness (I + x3)_m = R_m, in 3 variables
         assert v == 3
-        assert [d for n, d in ranked if n == 4] == [m + 1]
-        assert [d for n, d in ranked if n == 3] == list(range(m + 1))
+        assert ranked == [(3, m)]
+        assert lifted == list(range(m + 2))
         assert prof.cutoff == 20 and len(prof.values) == 21
         assert prof.values[m:] == (11,) * (21 - m)
         assert prof.stabilized_value == 11 and prof.stabilized_at == m - 1
@@ -112,6 +113,19 @@ def ranks_taken(monkeypatch):
     return ranked
 
 
+def lifts_taken(monkeypatch):
+    """Record the degree of every dual-basis lift hilbert_function makes."""
+    lifted = []
+    lift = hilbert._lift
+
+    def counting(ideal, e, psi):
+        lifted.append(e)
+        return lift(ideal, e, psi)
+
+    monkeypatch.setattr(hilbert, "_lift", counting)
+    return lifted
+
+
 def false_plateau_ideal(ring):
     """(x0, x1, x2^2, x2*x3^4): Hilbert values 1, 2, 2, 2, 2, then 1 for ever."""
     x = [ring.variable(i) for i in range(4)]
@@ -131,6 +145,17 @@ def ranked_values(ideal, cutoff):
     return tuple(ideal.ring.dim(d) - ideal_piece_dim(ideal, d) for d in range(cutoff + 1))
 
 
+def torsion(ideal, cutoff):
+    """T(e) = dim((I : x_{n-1})/I)_e for e < cutoff, from full ranks: by the
+    exact sequence of multiplication by x_{n-1}, H(e+1) = H(e) - T(e) + H'(e+1)
+    with H' the Hilbert function of R/(I + x_{n-1}). T(e) is the number of
+    pivots in the Psi block of the lift to degree e + 1."""
+    h = ranked_values(ideal, cutoff)
+    cut = hilbert._restrict(ideal, ideal.ring.nvars - 1)
+    h1 = ranked_values(cut, cutoff)
+    return [h[e] + h1[e + 1] - h[e + 1] for e in range(cutoff)]
+
+
 class TestCertificate:
     def test_false_plateau_refused(self, ring):
         prof = hilbert_function(false_plateau_ideal(ring))
@@ -140,39 +165,65 @@ class TestCertificate:
         assert prof.certificate == (6, 3)
         assert prof.stabilized_at == 5
 
-    def test_non_saturated_presentation_falls_back_to_the_sweep(self, ring, monkeypatch):
-        # x3 = 0 leaves (x0, x1, x2^2), so H' = 1, 2, 0, ... and S(5) = 3, but
-        # H(6) = 1: x2 * x3^4 is x3-torsion in degree 4, so the reduction fails
-        # after its one 4-variable rank and every degree 0..m+1 is ranked
+    def test_non_saturated_presentation_ranks_only_the_witness(self, ring, monkeypatch):
+        # x3 = 0 leaves (x0, x1, x2^2), but x2 * x3^4 is x3-torsion in degree
+        # 4, so the lift to degree 5 has a pivot in its Psi block; the one
+        # sweep still gives every value, and its only rank is the witness
         ranked = ranks_taken(monkeypatch)
-        prof = hilbert_function(false_plateau_ideal(ring))
-        m, v = prof.certificate
-        assert (m, v) == (6, 3)
-        assert [d for n, d in ranked if n == 4] == [6] + list(range(m + 2))
-        assert prof.values == ranked_values(false_plateau_ideal(ring), prof.cutoff)
+        ideal = false_plateau_ideal(ring)
+        prof = hilbert_function(ideal)
+        assert prof.certificate == (6, 3)
+        assert ranked == [(3, 6)]
+        assert prof.values == ranked_values(ideal, prof.cutoff)
+        assert [e for e, t in enumerate(torsion(ideal, prof.cutoff)) if t] == [4]
 
     def test_random_ideals_equal_their_ranked_values(self, monkeypatch):
         """Random points ideals (saturated) and their products with the
-        maximal ideal (not saturated, torsion in the lowest degree): every
-        certified profile equals the ranks in every degree up to the cutoff."""
-        ring = PolyRing()
-        rng = random.Random(31)
+        maximal ideal (not saturated, torsion in the lowest degree), at a
+        prime where G_e Psi_{e-1} is one float64 product and at one where it
+        is split into limbs: every certified profile equals the ranks in
+        every degree up to the cutoff, and the only ranks taken are the
+        witness's, in 3 variables at the certified degree."""
         ranked = ranks_taken(monkeypatch)
-        reductions = fallbacks = 0
-        for degs in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 1, 3)]:
-            gens = tuple(random_form(e, ring, rng) for e in degs)
-            times_m = tuple(g * ring.variable(i) for g in gens for i in range(4))
-            for ideal in (IdealPresentation(ring=ring, generators=gens),
-                          IdealPresentation(ring=ring, generators=times_m)):
-                ranked.clear()
-                prof = hilbert_function(ideal)
-                full = sum(n == 4 for n, _ in ranked)
-                assert prof.certificate is not None
-                assert prof.stabilized_value == degs[0] * degs[1] * degs[2]
-                assert prof.values == ranked_values(ideal, prof.cutoff), (degs, ideal)
-                reductions += full == 1
-                fallbacks += full > 1
-        assert reductions == fallbacks == 5
+        for p in (32003, 2147483629):
+            ring = PolyRing(p)
+            rng = random.Random(31)
+            for degs in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 1, 3)]:
+                gens = tuple(random_form(e, ring, rng) for e in degs)
+                times_m = tuple(g * ring.variable(i) for g in gens for i in range(4))
+                for ideal in (IdealPresentation(ring=ring, generators=gens),
+                              IdealPresentation(ring=ring, generators=times_m)):
+                    ranked.clear()
+                    prof = hilbert_function(ideal)
+                    assert prof.certificate is not None
+                    m = prof.certificate[0]
+                    assert ranked and set(ranked) == {(3, m)}, (p, degs)
+                    assert prof.stabilized_value == degs[0] * degs[1] * degs[2]
+                    assert prof.values == ranked_values(ideal, prof.cutoff), (p, degs, ideal)
+                    assert any(torsion(ideal, prof.cutoff)) == (ideal.generators == times_m)
+
+    @pytest.mark.parametrize("p", [32003, 2147483629])
+    def test_torsion_lifts_equal_their_ranked_values(self, p):
+        """Ideals with x3-torsion, where the lift multiplies Psi_{e-1} by the
+        pivot rows of its Psi block, at both sides of the float64/limb switch:
+        the false plateau, (x0, x1, x2^a, x2*x3^b), and random forms times
+        x3 and times a random linear form."""
+        ring = PolyRing(p)
+        x = [ring.variable(i) for i in range(4)]
+        rng = random.Random(41)
+        ideals = [false_plateau_ideal(ring)]
+        for a, b in [(2, 3), (3, 4), (4, 2)]:
+            ideals.append(IdealPresentation(ring=ring, generators=(
+                x[0], x[1], ring.monomial((0, 0, a, 0)), ring.monomial((0, 0, 1, b)))))
+        for degs in [(1, 2, 2), (2, 2, 2)]:
+            gens = [random_form(e, ring, rng) for e in degs]
+            ell = random_form(1, ring, rng)
+            ideals.append(IdealPresentation(ring=ring, generators=(
+                gens[0], gens[1] * x[3], gens[2] * ell, gens[2] * x[3] * x[3])))
+        for ideal in ideals:
+            prof = hilbert_function(ideal, 12)
+            assert prof.values == ranked_values(ideal, 12), ideal
+            assert any(torsion(ideal, 12)), ideal
 
     def test_plateau_above_generator_degrees_refused(self):
         # (x1^3, x1*x2^3, x0*x1) in three variables: the plateau 6, 6, 6 sits at

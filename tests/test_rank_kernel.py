@@ -3,14 +3,15 @@
 Shapes are chosen around the recursion: row counts at and next to the leaf
 size and its doubles, ranks that reach the column count before the last
 row, zero rows and columns, and moduli on both sides of the float64/limb
-switch of the product helper.
+switch of the product helpers. kernel_lift is checked against the same
+integer reference.
 """
 
 import numpy as np
 import pytest
 from test_linalg import naive_rank
 
-from acmcurves.linalg import _LEAF, _submul, echelon_basis, rank_modp
+from acmcurves.linalg import _LEAF, _mulmod, _submul, echelon_basis, kernel_lift, rank_modp
 
 PRIMES = [7, 32003, 11863477, 2147483629]
 
@@ -108,6 +109,63 @@ def test_products_match_integer_arithmetic(k, p):
     want = (b.astype(object) - x.astype(object) @ y.astype(object)) % p
     got = submul(b.astype(np.float64), x.astype(np.float64), y.astype(np.float64), p)
     assert np.array_equal(got.astype(np.int64), want.astype(np.int64))
+
+
+@pytest.mark.parametrize("p", [32003, 11863099, 2147483629])
+@pytest.mark.parametrize("k", [1, 64, 65, 4096])
+def test_mulmod_exact_at_worst_case_magnitude(k, p):
+    # every entry p - 1, so every entry of x @ y is k*(p-1)**2 = k mod p
+    x = np.full((3, k), p - 1, dtype=np.float64)
+    y = np.full((k, 5), p - 1, dtype=np.float64)
+    got = _mulmod(x, y, p)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.full((3, 5), k % p))
+
+
+@pytest.mark.parametrize("p", [32003, 11863099, 2147483629])
+@pytest.mark.parametrize("k", [0, 3, 65, 700])
+def test_mulmod_matches_integer_arithmetic(k, p):
+    rng = np.random.default_rng(k + p % 103)
+    x = rng.integers(0, p, size=(9, k))
+    y = rng.integers(0, p, size=(k, 11))
+    want = x.astype(object) @ y.astype(object) % p if k else np.zeros((9, 11))
+    got = _mulmod(x.astype(np.float64), y.astype(np.float64), p)
+    assert np.array_equal(got.astype(np.int64), np.asarray(want, dtype=np.int64))
+
+
+def lift_case(rng, p, ny, nb, h, rank_a, rank_bpsi):
+    """a (m x ny) of rank rank_a, psi (nb x h) of full column rank, and b
+    with b @ psi of rank rank_bpsi; rows of b @ psi reach past a's row space,
+    so the c block gets pivots."""
+    m = rank_a + rank_bpsi + 3
+    psi = low_rank(rng, nb, h, h, p)
+    assert naive_rank(psi, p) == h
+    a = low_rank(rng, m, ny, rank_a, p)
+    b = low_rank(rng, m, nb, rank_bpsi, p)
+    return a, b, psi
+
+
+@pytest.mark.parametrize("p", [32003, 2147483629])
+@pytest.mark.parametrize("ny,nb,h,rank_a,rank_bpsi", [
+    (0, 6, 4, 0, 2), (5, 0, 0, 3, 0), (8, 30, 12, 5, 0), (8, 30, 12, 5, 7),
+    (20, 40, 25, 10, 25), (3, 50, 40, 3, 30)])
+def test_kernel_lift_spans_the_lifted_kernel(ny, nb, h, rank_a, rank_bpsi, p):
+    # the columns solve a y + b z = 0 with z in the span of psi, are
+    # independent, and number dim ker [a | b psi], the dimension of that space
+    rng = np.random.default_rng(ny * 100 + nb + h + p % 7)
+    a, b, psi = lift_case(rng, p, ny, nb, h, rank_a, rank_bpsi)
+    out = kernel_lift(a.astype(np.float64), b.astype(np.float64), psi.astype(np.float64), p)
+    assert out.dtype == np.float64 and out.shape[0] == ny + nb
+    assert out.min(initial=0) >= 0 and out.max(initial=0) < p
+    vecs = out.astype(np.int64).astype(object)
+    y, z = vecs[:ny], vecs[ny:]
+    assert not np.any((a.astype(object) @ y + b.astype(object) @ z) % p)
+    k = np.hstack([a.astype(object), b.astype(object) @ psi.astype(object) % p]).astype(np.int64)
+    dim = ny + h - naive_rank(k, p)
+    assert out.shape[1] == dim
+    assert naive_rank(out.astype(np.int64).T, p) == dim
+    if dim and h:
+        assert naive_rank(np.hstack([psi, z.astype(np.int64)]), p) == h
 
 
 @pytest.mark.parametrize("p", [32003, 2147483629])
