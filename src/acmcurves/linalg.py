@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 _LEAF = 16
+_GATHER = 32
 
 
 def _submul(a: np.ndarray, bcols: np.ndarray, xcols: np.ndarray, y: np.ndarray,
@@ -162,5 +163,9 @@ def kernel_lift(a: np.ndarray, b: np.ndarray, psi: np.ndarray, p: int) -> np.nda
     if inc.any():
         out[ny:, nyf:] = _submul(psi, free[nyf:] - ny, piv[inc] - ny, r[inc][:, nyf:], p)
     else:
-        out[ny:, nyf:] = psi[:, free[nyf:] - ny]
+        # _GATHER columns at a time: one gather of every selected column
+        # would be a temporary as large as psi (10 MB at verify (4,1,3))
+        cols = free[nyf:] - ny
+        for lo in range(0, len(cols), _GATHER):
+            out[ny:, nyf + lo:nyf + lo + _GATHER] = psi[:, cols[lo:lo + _GATHER]]
     return out

@@ -129,6 +129,18 @@ class TestIntersect:
         assert code == 2
         assert "error: malformed matrix document" in err
 
+    def test_non_graded_matrix_exit_2(self, capsys, tmp_path):
+        x = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        rows = [[x[0], [0, 2, 0, 0], x[2]], [x[1], x[2], x[3]]]  # x1^2 in a linear slot
+        doc = {"p": 32003, "nvars": 4, "rows": 2, "cols": 3,
+               "entries": [[[[1, v]] for v in row] for row in rows]}
+        (tmp_path / "ng.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "intersect", "--a", str(tmp_path / "ng.json"),
+                                 "--b", str(tmp_path / "ng.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: degree mismatch")
+
     def test_self_intersection_not_certified(self, capsys, tmp_path):
         x = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         rows = [[x[0], x[1], x[2]], [x[1], x[2], x[3]]]  # the twisted cubic's matrix

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from acmcurves.construct import build_uniform_pair, skew_matrix_G
 from acmcurves.matforms import (FormMatrix, SkewFormMatrix,
                                 determinant, maximal_minors, minor, pfaffian,
                                 principal_pfaffians)
-from acmcurves.ring import PolyRing, random_form
+from acmcurves.ring import Form, PolyRing, random_form
 
 
 @pytest.fixture
@@ -36,6 +37,28 @@ def naive_det(ring, grid):
 def random_matrix(ring, rows, cols, d, rng):
     return FormMatrix(ring, [[random_form(d, ring, rng) for _ in range(cols)]
                              for _ in range(rows)])
+
+
+# the large prime takes the 16-bit limb path of the exact products
+PRIMES = [32003, 2147483629]
+
+
+def graded_matrix(ring, row_deg, col_deg, rng, zeros=0.0, zero_col=None):
+    """Random matrix with entry (i, j) of degree row_deg[i] + col_deg[j]; a
+    share `zeros` of the entries, and column zero_col, are zero."""
+    deg = [[a + b for b in col_deg] for a in row_deg]
+    ent = [[ring.zero(d) if j == zero_col or rng.random() < zeros else random_form(d, ring, rng)
+            for j, d in enumerate(row)] for row in deg]
+    return FormMatrix(ring, ent, deg)
+
+
+def graded_skew(ring, weights, d, rng, zeros=0.0):
+    """Random skew matrix with entry (i, j) of degree weights[i] + weights[j] + d."""
+    size = len(weights)
+    return SkewFormMatrix.from_upper(ring, size, {
+        (i, j): (ring.zero() if rng.random() < zeros
+                 else random_form(weights[i] + weights[j] + d, ring, rng))
+        for i in range(size) for j in range(i + 1, size)})
 
 
 class TestMinor:
@@ -79,19 +102,49 @@ class TestMaximalMinors:
         assert len(mm) == t + 1
         assert all(f.degree == t for f in mm)
 
+    def test_non_graded_matrix_rejected(self, ring):
+        # minor {0, 1} gets x0*x2 and x1^2*x1: grouping terms by degree must
+        # not merge them into a form of mixed degree
+        x = [ring.variable(i) for i in range(4)]
+        m = FormMatrix(ring, [[x[0], x[1] * x[1], x[2]], [x[1], x[2], x[3]]])
+        with pytest.raises(ValueError, match="degree mismatch"):
+            maximal_minors(m)
+
+    def test_more_columns_than_a_mask_holds_rejected(self, ring):
+        zero = ring.zero(1)
+        m = FormMatrix(ring, [[zero] * 65 for _ in range(64)])
+        with pytest.raises(ValueError, match="at most 63"):
+            maximal_minors(m)
+
     def test_shape_check(self, ring):
         with pytest.raises(ValueError):
             maximal_minors(random_matrix(ring, 2, 4, 1, random.Random(0)))
 
-    def test_agrees_with_cofactor_oracle(self, ring):
-        rng = random.Random(11)
-        for t in (2, 3, 4):
-            m = random_matrix(ring, t, t + 1, 1, rng)
-            mm = maximal_minors(m)
-            for dropped in range(t + 1):
-                cols = [c for c in range(t + 1) if c != dropped]
-                grid = [[m.entry(i, j) for j in cols] for i in range(t)]
-                assert mm[dropped] == naive_det(ring, grid)
+    def test_agrees_with_cofactor_oracle(self):
+        """Values against cofactor expansion, and every declared degree (a
+        zero minor's too) against the degree matrix."""
+        zero_minors = 0
+        for p in PRIMES:
+            ring = PolyRing(p)
+            rng = random.Random(11)
+            cases = [graded_matrix(ring, [0] * t, [1] * (t + 1), rng) for t in (1, 2, 3, 4)]
+            cases += [graded_matrix(ring, [0] * t, [1] * (t + 1), rng, zeros=0.3)
+                      for t in (2, 3, 4, 4)]
+            cases += [graded_matrix(ring, [0, 0, 0], [1] * 4, rng, zero_col=1),
+                      graded_matrix(ring, [0, 0], [3, 2, 1], rng),  # ex-mixed's degrees
+                      graded_matrix(ring, [0, 1, 2], [1, 2, 1, 3], rng),
+                      graded_matrix(ring, [0, 1, 2], [1, 2, 1, 3], rng, zeros=0.3)]
+            for m in cases:
+                t = m.rows
+                mm = maximal_minors(m)
+                for dropped in range(t + 1):
+                    cols = [c for c in range(t + 1) if c != dropped]
+                    grid = [[m.entry(i, j) for j in cols] for i in range(t)]
+                    assert mm[dropped] == naive_det(ring, grid)
+                    assert mm[dropped].degree == sum(m.degree_matrix[i][cols[i]]
+                                                     for i in range(t))
+                    zero_minors += mm[dropped].is_zero
+        assert zero_minors >= 6
 
     def test_column_scaling_multilinearity(self, ring):
         rng = random.Random(12)
@@ -104,6 +157,19 @@ class TestMaximalMinors:
         for dropped in range(4):
             expect = base[dropped] if dropped == 1 else base[dropped].scale(s)
             assert got[dropped] == expect
+
+
+def test_tables_make_no_form_products(ring, monkeypatch):
+    pair = build_uniform_pair(4, 2, 1, random.Random(16), ring=ring)
+    g = skew_matrix_G(pair)
+    expect = maximal_minors(pair.m_big), principal_pfaffians(g)
+
+    def refuse(self, other):
+        raise AssertionError("Form product inside a batched subset table")
+
+    monkeypatch.setattr(Form, "__mul__", refuse)
+    monkeypatch.setattr(Form, "__rmul__", refuse)
+    assert (maximal_minors(pair.m_big), principal_pfaffians(g)) == expect
 
 
 class TestDeterminant:
@@ -178,6 +244,16 @@ class TestSkewAndPfaffian:
         g = SkewFormMatrix.from_upper(ring, 5, upper)
         assert len(principal_pfaffians(g)) == 5
 
+    def test_non_graded_skew_matrix_rejected(self, ring):
+        # Pf(0..3) = a01*a23 - a02*a13 + a03*a12 has terms of degrees 2, 3, 2
+        x = [ring.variable(i) for i in range(4)]
+        upper = {(0, 1): x[0], (2, 3): x[1], (0, 2): x[0] * x[0], (1, 3): x[1],
+                 (0, 3): x[2], (1, 2): x[3]}
+        upper.update({(i, 4): x[3] for i in range(4)})
+        g = SkewFormMatrix.from_upper(ring, 5, upper)
+        with pytest.raises(ValueError, match="degree mismatch"):
+            principal_pfaffians(g)
+
     def test_even_size_rejected_for_principal(self, ring):
         g = SkewFormMatrix.from_upper(ring, 2, {(0, 1): ring.variable(0)})
         with pytest.raises(ValueError):
@@ -200,8 +276,8 @@ class TestSkewAndPfaffian:
         g = SkewFormMatrix.from_upper(ring, 3, upper)
         assert determinant(FormMatrix(ring, g.entries)).is_zero
 
-    def test_principal_pfaffians_match_first_row_reference(self, ring):
-        """The production recursion picks its expansion row adaptively; check
+    def test_principal_pfaffians_match_first_row_reference(self):
+        """The production table picks its expansion row adaptively; check
         its output against a plain first-row expansion."""
 
         def reference_pf(entries, subset):
@@ -220,15 +296,22 @@ class TestSkewAndPfaffian:
                 total = term if total is None else total + term
             return total if total is not None else ring.zero()
 
-        rng = random.Random(14)
-        for size in (3, 5, 7):
-            upper = {(i, j): random_form(1, ring, rng)
-                     for i in range(size) for j in range(i + 1, size)}
-            g = SkewFormMatrix.from_upper(ring, size, upper)
-            got = principal_pfaffians(g)
-            full = tuple(range(size))
-            for i in full:
-                ref = reference_pf(g.entries, tuple(x for x in full if x != i))
-                if i % 2:
-                    ref = -ref
-                assert got[i] == ref
+        for p in PRIMES:
+            ring = PolyRing(p)
+            rng = random.Random(14)
+            cases = [graded_skew(ring, [0] * size, 1, rng) for size in (1, 3, 5, 7)]
+            cases += [graded_skew(ring, [0] * size, 1, rng, zeros=0.3) for size in (5, 7, 7)]
+            cases += [graded_skew(ring, [0, 1, 0, 2, 1], 1, rng),
+                      graded_skew(ring, [1, 0, 2, 0, 1, 1, 0], 1, rng, zeros=0.2)]
+            # the skew_matrix_G layout: a zero lower-right block, and upper-left
+            # entries of degree (r+1)d against d in the upper-right block
+            cases += [skew_matrix_G(build_uniform_pair(t, r, d, rng, ring=ring))
+                      for t, r, d in ((3, 1, 1), (4, 1, 1), (4, 2, 1), (3, 1, 2))]
+            for g in cases:
+                got = principal_pfaffians(g)
+                full = tuple(range(g.size))
+                for i in full:
+                    ref = reference_pf(g.entries, tuple(x for x in full if x != i))
+                    if i % 2:
+                        ref = -ref
+                    assert got[i] == ref

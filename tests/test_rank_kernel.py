@@ -148,7 +148,7 @@ def lift_case(rng, p, ny, nb, h, rank_a, rank_bpsi):
 @pytest.mark.parametrize("p", [32003, 2147483629])
 @pytest.mark.parametrize("ny,nb,h,rank_a,rank_bpsi", [
     (0, 6, 4, 0, 2), (5, 0, 0, 3, 0), (8, 30, 12, 5, 0), (8, 30, 12, 5, 7),
-    (20, 40, 25, 10, 25), (3, 50, 40, 3, 30)])
+    (20, 40, 25, 10, 25), (3, 50, 40, 3, 30), (8, 90, 70, 5, 0)])
 def test_kernel_lift_spans_the_lifted_kernel(ny, nb, h, rank_a, rank_bpsi, p):
     # the columns solve a y + b z = 0 with z in the span of psi, are
     # independent, and number dim ker [a | b psi], the dimension of that space
