@@ -78,11 +78,12 @@ def macaulay_matrix(ideal: IdealPresentation, d: int) -> np.ndarray:
     ring = ideal.ring
     gens = [g for g in ideal.generators if g.degree <= d]
     out = np.zeros((sum(ring.dim(d - g.degree) for g in gens), ring.dim(d)), dtype=np.int64)
+    # one table per generator degree, built per call: caching them like the
+    # small tables of mul_index raises the peak memory of long sweeps
+    tables = {k: ring.product_positions(d - k, k) for k in {g.degree for g in gens}}
     row = 0
     for g in gens:
-        # built per call: caching these tables, unlike the small product
-        # tables of mul_index, raises the peak memory of long sweeps
-        idx = ring.product_positions(d - g.degree, g.degree)
+        idx = tables[g.degree]
         out[np.arange(row, row + len(idx))[:, None], idx] = g.coeffs[None, :]
         row += len(idx)
     return out
@@ -149,8 +150,9 @@ def _lift(ideal: IdealPresentation, e: int, psi: np.ndarray) -> np.ndarray:
     ring = ideal.ring
     col = _lift_order(ring, e)
     gens = [g for g in ideal.generators if g.degree <= e]
-    idx = [ring.product_positions(e - g.degree, g.degree)[ring.exps(e - g.degree)[:, -1] == 0]
-           for g in gens]
+    tables = {k: ring.product_positions(e - k, k)[ring.exps(e - k)[:, -1] == 0]
+              for k in {g.degree for g in gens}}
+    idx = [tables[g.degree] for g in gens]
     # [F_e | G_e]: the rows u*g of Mac(e) with u free of l, in float64 for
     # the product with Psi_{e-1}
     fg = np.zeros((sum(map(len, idx)), len(col)))

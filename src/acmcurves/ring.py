@@ -1,18 +1,27 @@
 """Exact arithmetic for homogeneous multivariate forms over a prime field.
 
-A form of degree d is a dense coefficient vector over the ring's degree-d
-monomial basis, with entries in [0, p). The zero form is the all-zero vector
-of any declared degree. The ring context (modulus, number of variables)
-caches the monomial bases per degree and the index tables that place the
-product of two basis monomials; form products and the Macaulay-matrix
-machinery both build their positions from those tables.
+A form of degree d is a dense coefficient vector over the degree-d monomial
+basis, with entries in [0, p); the zero form is the all-zero vector of any
+declared degree. A basis depends only on the number of variables n, so each
+(n, d) has one, shared by every ring whatever its p: an exponent matrix with
+rows in descending lexicographic order. Positions have a closed form, the
+combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3). With s_v the degree
+of a monomial in x_{v+1}, ..., x_{n-1}, its position is
+
+    sum over v < n - 1 of C(s_v + n - v - 2, n - v - 1),
+
+the term of v counting the monomials that agree with it before x_v and have
+a larger power of x_v. Tail sums add like exponents, so the table placing
+the products of two bases is this rank of the summed tail sums.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,11 +29,8 @@ DEFAULT_PRIME = 32003
 
 Monomial = tuple  # exponent vector, one non-negative entry per variable
 
-# exponents are packed into a single int for fast vectorized index lookups
-_CODE_RADIX = 1 << 15
-
-# Largest monomial basis PolyRing.form builds (degree 82 in 4 variables),
-# far above the degree-24 pieces (2925 monomials) that verify (4,1,3) ranks.
+# Largest monomial basis built or addressed (degree 82 in 4 variables), far
+# above the degree-24 pieces (2925 monomials) that verify (4,1,3) ranks.
 MAX_FORM_DIM = 100_000
 
 
@@ -56,23 +62,70 @@ def monomial_degree(m: Monomial) -> int:
     return sum(m)
 
 
-def _gen_monomials(degree: int, nvars: int) -> Iterator[Monomial]:
-    if nvars == 1:
-        yield (degree,)
-        return
-    for e in range(degree, -1, -1):
-        for rest in _gen_monomials(degree - e, nvars - 1):
-            yield (e,) + rest
+def _dim(nvars: int, degree: int) -> int:
+    """Number of degree-d monomials in nvars variables: the one place that
+    refuses a basis above MAX_FORM_DIM, before anything of its size exists.
+    In one variable, where every basis has one monomial, the degree is capped."""
+    if degree < 0:
+        return 0
+    count = math.comb(degree + nvars - 1, nvars - 1)
+    if max(count, degree) > MAX_FORM_DIM:
+        raise ValueError(f"degree {degree} too large: {count} monomials in {nvars} variables "
+                         f"(the limit is {MAX_FORM_DIM} monomials and degree {MAX_FORM_DIM})")
+    return count
+
+
+@functools.cache
+def _exps(nvars: int, degree: int) -> np.ndarray:
+    """The degree-d basis, read-only, by stars and bars: bars at c_0 < ... <
+    c_{n-2} give e_v = c_v - c_{v-1} - 1. As c_v = e_0 + ... + e_v + v, the
+    combinations of bar slots, reversed, are in descending lex order."""
+    count = _dim(nvars, degree)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(degree + nvars - 1), nvars - 1)),
+        dtype=np.int64, count=count * (nvars - 1)).reshape(count, nvars - 1)
+    edges = np.pad(bars[::-1], ((0, 0), (1, 1)), constant_values=(-1, degree + nvars - 1))
+    exps = np.diff(edges, axis=1) - 1
+    exps.setflags(write=False)
+    return exps
+
+
+@functools.cache
+def _rank_table(nvars: int, degree: int) -> np.ndarray:
+    """Row v, column s <= d: C(s + n - v - 2, n - v - 1), the rank term of v."""
+    _dim(nvars, degree)  # the cap, before the table is allocated
+    table = np.array([[math.comb(s + nvars - v - 2, nvars - v - 1) for s in range(degree + 1)]
+                      for v in range(nvars - 1)], dtype=np.int64).reshape(nvars - 1, degree + 1)
+    table.setflags(write=False)
+    return table
+
+
+def _rank(nvars: int, degree: int, *factors: np.ndarray) -> np.ndarray:
+    """Positions in the degree-d basis of the products of the exponent rows
+    in `factors`, broadcast against each other, from their summed tail sums."""
+    table = _rank_table(nvars, degree)
+    tails = [np.cumsum(e[..., :0:-1], axis=-1)[..., ::-1] for e in factors]
+    pos = np.zeros(np.broadcast_shapes(*(e.shape[:-1] for e in factors)), dtype=np.int64)
+    for v in range(nvars - 1):
+        pos += table[v, sum(t[..., v] for t in tails)]
+    return pos
+
+
+def _product_positions(nvars: int, a: int, b: int) -> np.ndarray:
+    table = _rank(nvars, a + b, _exps(nvars, a)[:, None], _exps(nvars, b)[None])
+    table.setflags(write=False)
+    return table
+
+
+_mul_index = functools.cache(_product_positions)
 
 
 class PolyRing:
     """Context for F_p[x_0, ..., x_{nvars-1}] restricted to homogeneous pieces,
     p an odd prime below 2**31.
 
-    Instances cache, per degree, the monomial basis (in a fixed generation
-    order), its exponent matrix as a numpy array and the sorted codes used to
-    map exponent vectors back to basis positions; and, per pair of degrees,
-    the product index table of mul_index.
+    A ring holds only (p, nvars). Its bases and product tables are the
+    module's, one per variable count (module docstring), built on first use.
     """
 
     def __init__(self, p: int = DEFAULT_PRIME, nvars: int = 4):
@@ -84,10 +137,6 @@ class PolyRing:
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.nvars = nvars
-        self._monomials: dict[int, tuple[Monomial, ...]] = {}
-        self._exps: dict[int, np.ndarray] = {}
-        self._codes: dict[int, np.ndarray] = {}
-        self._mul: dict[tuple[int, int], np.ndarray] = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyRing) and (self.p, self.nvars) == (other.p, other.nvars)
@@ -99,76 +148,34 @@ class PolyRing:
         return f"PolyRing(p={self.p}, nvars={self.nvars})"
 
     def dim(self, degree: int) -> int:
-        """Dimension of the degree-d piece of the polynomial ring."""
-        if degree < 0:
-            return 0
-        return math.comb(degree + self.nvars - 1, self.nvars - 1)
+        """Dimension of the degree-d piece of the polynomial ring; ValueError
+        above MAX_FORM_DIM."""
+        return _dim(self.nvars, degree)
 
     def monomials(self, degree: int) -> tuple[Monomial, ...]:
-        if degree < 0:
-            return ()
-        got = self._monomials.get(degree)
-        if got is None:
-            got = tuple(_gen_monomials(degree, self.nvars))
-            self._monomials[degree] = got
-        return got
+        """The degree-d basis as exponent tuples, in descending lexicographic order."""
+        return tuple(map(tuple, self.exps(degree).tolist()))
 
     def exps(self, degree: int) -> np.ndarray:
-        """Exponent matrix of the degree-d basis, shape (dim(d), nvars)."""
-        got = self._exps.get(degree)
-        if got is None:
-            got = np.array(self.monomials(degree), dtype=np.int64).reshape(-1, self.nvars)
-            self._exps[degree] = got
-        return got
-
-    def _sorted_codes(self, degree: int) -> np.ndarray:
-        """Codes of the degree-d basis in ascending order.
-
-        The basis is generated in descending lexicographic order and the code
-        is big-endian in the exponents, so this is the basis order reversed.
-        """
-        got = self._codes.get(degree)
-        if got is None:
-            got = self._encode(self.exps(degree))[::-1].copy()
-            self._codes[degree] = got
-        return got
-
-    def _encode(self, exps: np.ndarray) -> np.ndarray:
-        if np.any(exps >= _CODE_RADIX):
-            raise ValueError("exponent too large for code table")
-        code = np.zeros(exps.shape[:-1], dtype=np.int64)
-        for v in range(self.nvars):
-            code = code * _CODE_RADIX + exps[..., v]
-        return code
-
-    def _positions(self, degree: int, codes: np.ndarray) -> np.ndarray:
-        asc = self._sorted_codes(degree)
-        return len(asc) - 1 - np.searchsorted(asc, codes)
+        """Exponent matrix of the degree-d basis, shape (dim(d), nvars), read-only."""
+        return _exps(self.nvars, degree)
 
     def product_positions(self, a: int, b: int) -> np.ndarray:
-        """Table T of shape (dim(a), dim(b)): basis monomial i of degree a times
-        basis monomial j of degree b is basis monomial T[i, j] of degree a + b.
-
-        Codes add like exponent vectors (no digit reaches the radix, which
-        encoding the degree a + b basis checks), so T is one lookup.
-        """
-        codes = self._sorted_codes(a)[::-1, None] + self._sorted_codes(b)[None, ::-1]
-        return self._positions(a + b, codes)
+        """Read-only table T of shape (dim(a), dim(b)): basis monomial i of
+        degree a times basis monomial j of degree b is basis monomial T[i, j]
+        of degree a + b."""
+        return _product_positions(self.nvars, a, b)
 
     def mul_index(self, a: int, b: int) -> np.ndarray:
         """product_positions(a, b), cached: the table behind every form product."""
-        got = self._mul.get((a, b))
-        if got is None:
-            got = self.product_positions(a, b)
-            self._mul[(a, b)] = got
-        return got
+        return _mul_index(self.nvars, a, b)
 
     # ---- form constructors ----
 
     def form(self, degree: int, terms: dict | Iterable = ()) -> Form:
         """Build a form from (exponent vector, coefficient) pairs, summing
         repeated monomials mod p. A degree whose monomial basis exceeds
-        MAX_FORM_DIM is refused before the basis is built."""
+        MAX_FORM_DIM is refused before anything is allocated."""
         items = terms.items() if isinstance(terms, dict) else terms
         monos, coefs = [], []
         for mono, coef in items:
@@ -179,14 +186,9 @@ class PolyRing:
                 raise ValueError(f"monomial {mono} has degree {monomial_degree(mono)}, expected {degree}")
             monos.append(mono)
             coefs.append(int(coef) % self.p)
-        # encode before allocating: a huge exponent fails here, not in np.zeros
-        codes = self._encode(np.array(monos, dtype=np.int64).reshape(-1, self.nvars))
-        if self.dim(degree) > MAX_FORM_DIM:
-            raise ValueError(f"degree {degree} too large: {self.dim(degree)} monomials "
-                             f"exceed the limit of {MAX_FORM_DIM}")
         coeffs = np.zeros(self.dim(degree), dtype=np.int64)
         if monos:
-            np.add.at(coeffs, self._positions(degree, codes), coefs)
+            np.add.at(coeffs, _rank(self.nvars, degree, np.array(monos, dtype=np.int64)), coefs)
             coeffs %= self.p
         return Form(self, degree, coeffs)
 
@@ -233,9 +235,9 @@ class Form:
     @property
     def terms(self) -> dict[Monomial, int]:
         """The nonzero coefficients as a fresh {exponent vector: coefficient} map."""
-        monos = self.ring.monomials(self.degree)
         nz = np.flatnonzero(self.coeffs)
-        return dict(zip([monos[i] for i in nz], self.coeffs[nz].tolist()))
+        monos = map(tuple, self.ring.exps(self.degree)[nz].tolist())
+        return dict(zip(monos, self.coeffs[nz].tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):

@@ -99,18 +99,14 @@ class TestIntersect:
         (tmp_path / "mBig.json").write_text(json.dumps(big))
         return "--a", str(tmp_path / "m.json"), "--b", str(tmp_path / "mBig.json")
 
-    def test_huge_exponent_exit_2(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "intersect", *self._write_pair(tmp_path, 40000))
-        assert code == 2
-        assert "exponent too large" in err
-
-    def test_huge_degree_exit_2_before_building_the_basis(self, capsys, tmp_path):
-        # one term of degree 3000: the degree-3000 basis has 4.5e9 monomials
+    @pytest.mark.parametrize("degree", [3000, 40000])
+    def test_huge_degree_exit_2_before_building_the_basis(self, capsys, tmp_path, degree):
+        # one term x0^degree: the degree-3000 basis has 4.5e9 monomials
         start = time.perf_counter()
-        code, _, err = run_cli(capsys, "intersect", *self._write_pair(tmp_path, 3000))
+        code, _, err = run_cli(capsys, "intersect", *self._write_pair(tmp_path, degree))
         assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert "degree 3000 too large" in err
+        assert f"degree {degree} too large" in err
 
     def test_out_of_memory_exit_2(self, capsys, tmp_path, monkeypatch):
         def refuse(self, degree, terms=()):
@@ -156,9 +152,9 @@ class TestIntersect:
 
 class TestHilbertInput:
     @staticmethod
-    def _hilbert(capsys, tmp_path, generators, *extra):
+    def _hilbert(capsys, tmp_path, generators, *extra, nvars=4):
         path = tmp_path / "ideal.json"
-        path.write_text(json.dumps({"p": 32003, "nvars": 4, "generators": generators}))
+        path.write_text(json.dumps({"p": 32003, "nvars": nvars, "generators": generators}))
         code, out, err = run_cli(capsys, "hilbert", "--input", str(path), *extra)
         return code, json.loads(out) if out else None, err
 
@@ -199,6 +195,22 @@ class TestHilbertInput:
         assert code == 0, err
         assert doc["values"] == [1, 4, 10, 20, 35] and doc["cutoff"] == 4
         assert doc["stabilized"] is False and doc["certificate"] is None
+
+    def test_six_variables(self, capsys, tmp_path):
+        # R/(x0, x1, x2, x3) is a polynomial ring in x4, x5: H(d) = d + 1
+        gens = [[[1, [int(v == i) for v in range(6)]]] for i in range(4)]
+        code, doc, err = self._hilbert(capsys, tmp_path, gens, "--cutoff", "6", nvars=6)
+        assert code == 0, err
+        assert doc["values"] == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_many_variables_exit_2(self, capsys, tmp_path):
+        # the degree-2 basis in 1200 variables has 720,600 monomials
+        gens = [[[1, [int(v == i) for v in range(1200)]]] for i in range(4)]
+        start = time.perf_counter()
+        code, out, err = self._hilbert(capsys, tmp_path, gens, "--cutoff", "2", nvars=1200)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out is None
+        assert err.startswith("error: degree 2 too large")
 
     def test_twisted_cubic_uncertified(self, capsys, tmp_path):
         code, doc, _ = self._hilbert(capsys, tmp_path, self._twisted_cubic())

@@ -1,8 +1,10 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from acmcurves.ring import PolyRing, is_prime, random_form
+from acmcurves.ring import MAX_FORM_DIM, PolyRing, is_prime, random_form
 
 
 @pytest.fixture
@@ -118,6 +120,27 @@ class TestFormMul:
         g = ring.form(2, [((0, 0, 1, 1), 7)])
         assert (f * g).terms == schoolbook_product(f, g)
 
+    @pytest.mark.parametrize("nvars", range(1, 8))
+    def test_product_positions_add_exponents(self, nvars):
+        ring = PolyRing(nvars=nvars)
+        top = 8 if nvars <= 5 else 5  # the (8, 8) tables in 7 variables hold 9e6 entries
+        for a in range(top + 1):
+            for b in range(top + 1):
+                table = ring.product_positions(a, b)
+                assert table.shape == (ring.dim(a), ring.dim(b))
+                for i in range(0, ring.dim(a), 256):  # row blocks bound the memory
+                    assert np.array_equal(ring.exps(a + b)[table[i:i + 256]],
+                                          ring.exps(a)[i:i + 256, None] + ring.exps(b)[None])
+
+    def test_power_in_five_variables(self):
+        ring = PolyRing(nvars=5)
+        x0 = ring.variable(0)
+        power = x0
+        for _ in range(7):
+            power = power * x0
+        assert power.terms == {(8, 0, 0, 0, 0): 1}
+        assert power == ring.monomial((8, 0, 0, 0, 0))
+
 
 class TestFormEval:
     def test_quadric_vanishing(self, ring):
@@ -197,6 +220,25 @@ class TestRingContext:
     def test_monomial_count_matches_dim(self, ring):
         for d in range(6):
             assert len(ring.monomials(d)) == ring.dim(d)
+
+    @pytest.mark.parametrize("nvars", range(1, 6))
+    def test_basis_is_every_exponent_vector_in_descending_lex_order(self, nvars):
+        ring = PolyRing(nvars=nvars)
+        for d in range(9):
+            every = [v for v in itertools.product(range(d + 1), repeat=nvars) if sum(v) == d]
+            assert ring.exps(d).tolist() == sorted(map(list, every), reverse=True)
+            assert ring.monomials(d) == tuple(sorted(every, reverse=True))
+        assert ring.exps(-1).shape == (0, nvars)
+        assert ring.monomials(-1) == ()
+
+    def test_basis_above_the_limit_refused(self):
+        ring = PolyRing(nvars=500)  # degree 2: 125,250 monomials
+        assert ring.exps(1).shape == (500, 500)
+        for build in (ring.exps, ring.zero, lambda d: ring.product_positions(1, d - 1)):
+            with pytest.raises(ValueError, match="degree 2 too large"):
+                build(2)
+        with pytest.raises(ValueError, match="too large"):
+            PolyRing(nvars=1).monomial((MAX_FORM_DIM + 1,))
 
     def test_form_rejects_wrong_degree_monomial(self, ring):
         with pytest.raises(ValueError):
