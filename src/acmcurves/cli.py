@@ -12,6 +12,7 @@ default 32003.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -29,7 +30,10 @@ EXIT_USAGE = 2
 EXIT_NOT_STABILIZED = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call gets a fresh namespace."""
     ap = argparse.ArgumentParser(prog="acmcurves",
                                  description="exact determinantal-curve computations")
     ap.add_argument("--pretty", action="store_true", help="indent the JSON output")

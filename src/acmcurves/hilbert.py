@@ -27,8 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import echelon_basis, kernel_lift, rank_modp
-from .ring import Form, PolyRing
+from .linalg import _mulmod, echelon_basis, kernel_lift, rank_modp
+from .ring import MAX_FORM_DIM, Form, PolyRing, _rank
+
+# Most entries Psi_e may hold: 80 MB as float64. The degree-10 surface at its
+# default cutoff 24 needs 2925 x 2365 entries, verify (4,1,3) 2600 x 840.
+_LIFT_ENTRY_CAP = 100 * MAX_FORM_DIM
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,10 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
     column selection of Psi_{e-1} plus a product with only T(e-1) columns.
     Psi_e holds dim R_e x H(e) entries, more than Mac(e) when H(e) > dim I_e,
     as for a hypersurface of high degree; points and curves are far below.
+    Memory is that of Psi_{e-1} and Psi_e plus K(e): K(e) is assembled one
+    generator degree at a time and freed before Psi_e is allocated. A degree
+    where Psi_e could hold more than _LIFT_ENTRY_CAP entries is refused with
+    ValueError before its lift.
 
     A certificate (m, v) says that (I + x_v)_m = R_m and (I : x_v)_m = I_m
     with m >= max(1, top generator degree). By the criterion of Bayer and
@@ -146,22 +154,44 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
 
 def _lift(ideal: IdealPresentation, e: int, psi: np.ndarray) -> np.ndarray:
     """Psi_e from Psi_{e-1} (module docstring): a basis of I_e^perp, one
-    vector per column, over the degree-e monomials in _lift_order."""
+    vector per column, over the degree-e monomials in _lift_order.
+    ValueError when Psi_e could hold more than _LIFT_ENTRY_CAP entries."""
     ring = ideal.ring
     col = _lift_order(ring, e)
-    gens = [g for g in ideal.generators if g.degree <= e]
-    tables = {k: ring.product_positions(e - k, k)[ring.exps(e - k)[:, -1] == 0]
-              for k in {g.degree for g in gens}}
-    idx = [tables[g.degree] for g in gens]
-    # [F_e | G_e]: the rows u*g of Mac(e) with u free of l, in float64 for
-    # the product with Psi_{e-1}
-    fg = np.zeros((sum(map(len, idx)), len(col)))
-    row = 0
-    for g, t in zip(gens, idx):
-        fg[np.arange(row, row + len(t))[:, None], col[t]] = g.coeffs[None, :]
-        row += len(t)
     ny = len(col) - len(psi)
-    return kernel_lift(fg[:, :ny], fg[:, ny:], psi, ring.p)
+    if len(col) * (ny + psi.shape[1]) > _LIFT_ENTRY_CAP:
+        raise ValueError(f"degree {e} too large for the Hilbert lift: Psi_{e} could hold "
+                         f"{len(col)} x {ny + psi.shape[1]} entries (the limit is "
+                         f"{_LIFT_ENTRY_CAP})")
+    # K(e) reaches kernel_lift as its only reference, so it is freed before
+    # Psi_e is allocated
+    return kernel_lift(_assemble(ideal, e, psi, col), ny, psi, ring.p)
+
+
+def _assemble(ideal: IdealPresentation, e: int, psi: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """K(e) = [F_e | G_e Psi_{e-1}], one generator degree k at a time: the
+    rows u*g of Mac(e) with u free of l and deg g = k are built in float64
+    over the columns col, multiplied by Psi_{e-1} and dropped before the next
+    degree's, so no [F_e | G_e] wider than one generator degree exists."""
+    ring = ideal.ring
+    gens: dict[int, list[np.ndarray]] = {}
+    for g in ideal.generators:
+        if g.degree <= e:
+            gens.setdefault(g.degree, []).append(g.coeffs)
+    free = {k: ring.exps(e - k)[ring.exps(e - k)[:, -1] == 0] for k in gens}
+    ny = len(col) - len(psi)
+    out = np.empty((sum(len(free[k]) * len(cs) for k, cs in gens.items()), ny + psi.shape[1]))
+    row = 0
+    for k, cs in gens.items():
+        # column of u times monomial j of degree k, u free of l
+        idx = col[_rank(ring.nvars, e, free[k][:, None], ring.exps(k)[None])]
+        fg = np.zeros((len(cs) * len(idx), len(col)))
+        for i, c in enumerate(cs):
+            fg[np.arange(i * len(idx), (i + 1) * len(idx))[:, None], idx] = c[None, :]
+        out[row:row + len(fg), :ny] = fg[:, :ny]
+        out[row:row + len(fg), ny:] = _mulmod(fg[:, ny:], psi, ring.p)
+        row += len(fg)
+    return out
 
 
 def _lift_order(ring: PolyRing, d: int) -> np.ndarray:

@@ -9,8 +9,8 @@ pivot. An echelon form is kept as its pivot columns and the block R on the
 other (free) columns, so products touch free columns only, and a kernel
 basis (kernel_lift) is read off it.
 
-The products run in float64 (BLAS) and are reduced once mod p in int64, in
-_submul and _mulmod. With operands in [0, p) an inner product of length k is
+The products run in float64 (BLAS) and are reduced once mod p, in _submul
+and _mulmod. With operands in [0, p) an inner product of length k is
 at most k*(p-1)**2: below 2**53 one float64 product is exact; otherwise both
 sides are split into 16-bit limbs (_limb_mulsub), whose products stay exact
 for k < 2**21. Pivot steps multiply two entries below 2**31 in int64: one
@@ -45,11 +45,18 @@ def _submul(a: np.ndarray, bcols: np.ndarray, xcols: np.ndarray, y: np.ndarray,
 def _mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """x @ y mod p as float64, for entries in [0, p)."""
     if x.shape[1] * (p - 1) ** 2 < 2**53:
-        c = (x @ y).astype(np.int64)
-    else:
-        c = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
-        _limb_mulsub(c, x, y, p)
-        np.negative(c, out=c)
+        # reduced in the product's buffer with one quotient buffer. Exact:
+        # for integers c < 2**53 the rounding of c / p stays below the next
+        # integer, so floor(c / p) is the true quotient
+        c = x @ y
+        q = c / p
+        np.floor(q, out=q)
+        q *= p
+        c -= q
+        return c
+    c = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+    _limb_mulsub(c, x, y, p)
+    np.negative(c, out=c)
     c %= p
     return c.astype(np.float64)
 
@@ -138,34 +145,36 @@ def echelon_basis(a, p: int) -> np.ndarray:
     return basis
 
 
-def kernel_lift(a: np.ndarray, b: np.ndarray, psi: np.ndarray, p: int) -> np.ndarray:
-    """Basis over F_p of {(y, z) : a y + b z = 0, z in the column span of psi},
-    for psi of full column rank: one vector per column, y above z (float64,
-    entries in [0, p)).
+def kernel_lift(k: np.ndarray, ny: int, psi: np.ndarray, p: int) -> np.ndarray:
+    """Basis over F_p of the kernel of K = [a | b psi] lifted to
+    {(y, z) : a y + b z = 0, z in the column span of psi} by
+    (y, c) -> (y, psi c), for psi of full column rank: one vector per column,
+    y above z (float64, entries in [0, p)).
 
-    With z = psi c this is the kernel of K = [a | b psi]. Each free column f
-    of the reduced echelon form of K gives the vector that is 1 at f and -R
-    at the pivots. A pivot in the c block sits in a row that is zero on the
-    y block, so the vectors of the free y columns have z = 0, and those of
-    the free c columns have z = psi c, a column of psi minus psi on the
-    pivot columns of the c block times R there: a column selection of psi
-    when the c block holds no pivot, else one _submul whose product is as
-    small as the number of those pivots.
+    k is K, float64 with entries in [0, p) and ny columns in its y block
+    (_mulmod gives b psi). The caller passes its only reference to k: it is
+    released once the echelon form exists, before the basis is allocated.
+    Each free column f of the reduced echelon form of K gives the vector
+    that is 1 at f and -R at the pivots. A pivot in the c block sits in a
+    row that is zero on the y block, so the vectors of the free y columns
+    have z = 0, and those of the free c columns have z = psi c, a column of
+    psi minus psi on the pivot columns of the c block times R there: a
+    column selection of psi when the c block holds no pivot, else a _submul
+    whose product is as small as the number of those pivots. Both are built
+    _GATHER columns at a time: one gather of every selected column would be
+    a temporary as large as psi (10 MB at verify (4,1,3)).
     """
-    ny = a.shape[1]
-    piv, r = _rref(np.hstack([a, _mulmod(b, psi, p)]), p)
-    free = _complement(piv, ny + psi.shape[1])
+    piv, r = _rref(k, p)
+    free = _complement(piv, k.shape[1])
+    del k
     nyf = int(np.searchsorted(free, ny))  # free y columns come first
     inc = piv >= ny
     out = np.zeros((ny + len(psi), len(free)))
     out[free[:nyf], np.arange(nyf)] = 1
     out[piv[~inc]] = np.where(r[~inc] > 0, p - r[~inc], 0)
-    if inc.any():
-        out[ny:, nyf:] = _submul(psi, free[nyf:] - ny, piv[inc] - ny, r[inc][:, nyf:], p)
-    else:
-        # _GATHER columns at a time: one gather of every selected column
-        # would be a temporary as large as psi (10 MB at verify (4,1,3))
-        cols = free[nyf:] - ny
-        for lo in range(0, len(cols), _GATHER):
-            out[ny:, nyf + lo:nyf + lo + _GATHER] = psi[:, cols[lo:lo + _GATHER]]
+    cols, xcols, y = free[nyf:] - ny, piv[inc] - ny, r[inc][:, nyf:]
+    for lo in range(0, len(cols), _GATHER):
+        hi = lo + _GATHER
+        out[ny:, nyf + lo:nyf + hi] = (_submul(psi, cols[lo:hi], xcols, y[:, lo:hi], p)
+                                       if len(xcols) else psi[:, cols[lo:hi]])
     return out

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from acmcurves.cli import main
+from acmcurves.cli import build_parser, main
 from acmcurves.ring import PolyRing
 
 
@@ -212,6 +212,15 @@ class TestHilbertInput:
         assert code == 2 and out is None
         assert err.startswith("error: degree 2 too large")
 
+    def test_lift_above_the_entry_cap_exit_2(self, capsys, tmp_path):
+        # the empty ideal: Psi_e is square and would reach 98,770^2 entries
+        # by degree 80; the lift to degree 25 (3276 x 3276) is refused
+        start = time.perf_counter()
+        code, out, err = self._hilbert(capsys, tmp_path, [], "--cutoff", "80")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out is None
+        assert err.startswith("error: degree 25 too large for the Hilbert lift")
+
     def test_twisted_cubic_uncertified(self, capsys, tmp_path):
         code, doc, _ = self._hilbert(capsys, tmp_path, self._twisted_cubic())
         assert code == 0
@@ -276,6 +285,44 @@ class TestScenario:
         _, out, _ = run_cli(capsys, "--pretty", "scenario", "--id", "ex-11")
         assert "\n  " in out
         json.loads(out)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; consecutive calls print what
+    calls on a freshly built parser print."""
+
+    CALLS = [
+        ("--pretty", "bound", "--t", "4", "--r", "2"),
+        ("bound", "--t", "4", "--r", "2"),
+        ("bound", "--t", "4"),  # missing --r: argparse usage error, exit 2
+        ("bound", "--t", "4", "--r", "9"),  # range error, exit 2
+        ("bound", "--t", "3", "--r", "1", "--d", "2"),
+        ("scenario", "--id", "ex-11"),
+        ("bound", "--t", "5", "--r", "2"),
+    ]
+
+    @staticmethod
+    def _call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_consecutive_calls_print_what_fresh_calls_print(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(self._call(capsys, argv))
+        build_parser.cache_clear()
+        reused = [self._call(capsys, argv) for argv in self.CALLS]
+        assert build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [c for c, _, _ in fresh] == [0, 0, 2, 2, 0, 0, 0]
+        assert "\n  " in fresh[0][1] and "\n  " not in fresh[1][1]
+        assert json.loads(fresh[0][1]) == json.loads(fresh[1][1])
+        assert json.loads(fresh[4][1])["d"] == 2 and json.loads(fresh[6][1])["d"] == 1
 
 
 # sha256 of stdout, recorded before forms became dense coefficient vectors

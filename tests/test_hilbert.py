@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from acmcurves import hilbert
-from acmcurves.construct import build_linear_pair, gorenstein_generators
+from acmcurves.construct import build_linear_pair, build_uniform_pair, gorenstein_generators
 from acmcurves.formulas import bound_linear, h_vector_gorenstein
 from acmcurves.hilbert import (IdealPresentation, graded_piece_spans_equal,
                                h_vector_from_profile, hilbert_function,
@@ -404,6 +405,56 @@ class TestInvariants:
             minimal = Counter(sum(m) for m in monos
                               if not any(g != m and divides(g, m) for g in monos))
             assert minimal_generator_degrees(ideal) == dict(minimal), monos
+
+
+class TestLiftMemory:
+    @staticmethod
+    def _lift_entries(ideal, prof):
+        """Per lifted degree e: the entries of Psi_{e-1}, Psi_e and K(e), the
+        latter with one row per generator g and l-free monomial of degree
+        e - deg g and one column per l-free monomial of degree e and per
+        column of Psi_{e-1}."""
+        ring = ideal.ring
+        free = PolyRing(ring.p, ring.nvars - 1)
+        h = prof.values
+        last = prof.certificate[0] + 1 if prof.certificate else prof.cutoff
+        for e in range(1, last + 1):
+            rows = sum(free.dim(e - g.degree) for g in ideal.generators)
+            yield (ring.dim(e - 1) * h[e - 1], ring.dim(e) * h[e],
+                   rows * (free.dim(e) + h[e - 1]))
+
+    def test_peak_bounded_by_the_largest_lift(self):
+        # verify (3,1,3): K(e) is assembled one generator degree at a time and
+        # freed before Psi_e is allocated, so the traced peak stays within
+        # 1.4 times the float64 bytes of Psi_{e-1}, Psi_e and K(e) at the
+        # largest lift (1.23 here); holding the whole [F_e | G_e] through the
+        # kernel step reads 1.65
+        ring = PolyRing()
+        ideal = gorenstein_generators(build_uniform_pair(3, 1, 3, random.Random(0), ring=ring))
+        hilbert_function(ideal, 18)  # fills the basis and product caches
+        tracemalloc.start()
+        try:
+            prof = hilbert_function(ideal, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.certificate == (16, 3)
+        largest = max(map(sum, self._lift_entries(ideal, prof)))
+        assert peak <= 1.4 * 8 * largest, (peak, 8 * largest)
+
+    def test_lift_above_the_entry_cap_refused(self):
+        # the empty ideal: Psi_e is square, 3276 x 3276 entries at degree 25
+        ring = PolyRing()
+        with pytest.raises(ValueError, match="degree 25 too large for the Hilbert lift"):
+            hilbert_function(IdealPresentation(ring=ring, generators=()), 80)
+
+    def test_entry_cap_admits_the_degree_10_surface(self):
+        # H(e) = dim R_e - dim R_{e-10}; the largest lift at the default
+        # cutoff 24 may hold 2925 x 2365 entries
+        ring, free = PolyRing(), PolyRing(nvars=3)
+        h = [ring.dim(e) - ring.dim(e - 10) for e in range(25)]
+        need = max(ring.dim(e) * (h[e - 1] + free.dim(e)) for e in range(1, 25))
+        assert need == 2925 * 2365 <= hilbert._LIFT_ENTRY_CAP
 
 
 def spans_equal_every_degree(a, b, up_to):

@@ -122,6 +122,19 @@ def test_mulmod_exact_at_worst_case_magnitude(k, p):
     assert np.array_equal(got, np.full((3, 5), k % p))
 
 
+@pytest.mark.parametrize("p", [32003, 11863099])
+def test_mulmod_float_reduction_at_residue_p_minus_1(p):
+    # the largest float path for p: k (p-1)**2 < 2**53, and x @ y is one
+    # below a multiple of p, where a quotient rounded up would give -1
+    k = (2**53 - 1) // (p - 1) ** 2
+    x = np.full((1, k), p - 1, dtype=np.float64)
+    y = np.full((k, 1), p - 1, dtype=np.float64)
+    y[0] = k % p
+    c = (p - 1) * ((k - 1) * (p - 1) + k % p)
+    assert c % p == p - 1 and c < 2**53 and (x @ y)[0, 0] == c
+    assert _mulmod(x, y, p)[0, 0] == p - 1
+
+
 @pytest.mark.parametrize("p", [32003, 11863099, 2147483629])
 @pytest.mark.parametrize("k", [0, 3, 65, 700])
 def test_mulmod_matches_integer_arithmetic(k, p):
@@ -148,13 +161,15 @@ def lift_case(rng, p, ny, nb, h, rank_a, rank_bpsi):
 @pytest.mark.parametrize("p", [32003, 2147483629])
 @pytest.mark.parametrize("ny,nb,h,rank_a,rank_bpsi", [
     (0, 6, 4, 0, 2), (5, 0, 0, 3, 0), (8, 30, 12, 5, 0), (8, 30, 12, 5, 7),
-    (20, 40, 25, 10, 25), (3, 50, 40, 3, 30), (8, 90, 70, 5, 0)])
+    (20, 40, 25, 10, 25), (3, 50, 40, 3, 30), (8, 90, 70, 5, 0), (8, 90, 75, 5, 9)])
 def test_kernel_lift_spans_the_lifted_kernel(ny, nb, h, rank_a, rank_bpsi, p):
     # the columns solve a y + b z = 0 with z in the span of psi, are
     # independent, and number dim ker [a | b psi], the dimension of that space
     rng = np.random.default_rng(ny * 100 + nb + h + p % 7)
     a, b, psi = lift_case(rng, p, ny, nb, h, rank_a, rank_bpsi)
-    out = kernel_lift(a.astype(np.float64), b.astype(np.float64), psi.astype(np.float64), p)
+    a, b, psi = (x.astype(np.float64) for x in (a, b, psi))
+    out = kernel_lift(np.hstack([a, _mulmod(b, psi, p)]), ny, psi, p)
+    a, b, psi = (x.astype(np.int64) for x in (a, b, psi))
     assert out.dtype == np.float64 and out.shape[0] == ny + nb
     assert out.min(initial=0) >= 0 and out.max(initial=0) < p
     vecs = out.astype(np.int64).astype(object)
