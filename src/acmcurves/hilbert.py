@@ -28,11 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _mulmod, echelon_basis, kernel_lift, rank_modp
-from .ring import MAX_FORM_DIM, Form, PolyRing, _rank
-
-# Most entries Psi_e may hold: 80 MB as float64. The degree-10 surface at its
-# default cutoff 24 needs 2925 x 2365 entries, verify (4,1,3) 2600 x 840.
-_LIFT_ENTRY_CAP = 100 * MAX_FORM_DIM
+from .ring import MAX_ARRAY_ENTRIES, Form, PolyRing, _rank
 
 
 @dataclass(frozen=True)
@@ -114,8 +110,8 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
     Psi_e holds dim R_e x H(e) entries, more than Mac(e) when H(e) > dim I_e,
     as for a hypersurface of high degree; points and curves are far below.
     Memory is that of Psi_{e-1} and Psi_e plus K(e): K(e) is assembled one
-    generator degree at a time and freed before Psi_e is allocated. A degree
-    where Psi_e could hold more than _LIFT_ENTRY_CAP entries is refused with
+    generator at a time and freed before Psi_e is allocated. A degree
+    where Psi_e could hold more than MAX_ARRAY_ENTRIES is refused with
     ValueError before its lift.
 
     A certificate (m, v) says that (I + x_v)_m = R_m and (I : x_v)_m = I_m
@@ -155,24 +151,35 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
 def _lift(ideal: IdealPresentation, e: int, psi: np.ndarray) -> np.ndarray:
     """Psi_e from Psi_{e-1} (module docstring): a basis of I_e^perp, one
     vector per column, over the degree-e monomials in _lift_order.
-    ValueError when Psi_e could hold more than _LIFT_ENTRY_CAP entries."""
+    ValueError when Psi_e could hold more than MAX_ARRAY_ENTRIES entries."""
     ring = ideal.ring
     col = _lift_order(ring, e)
     ny = len(col) - len(psi)
-    if len(col) * (ny + psi.shape[1]) > _LIFT_ENTRY_CAP:
+    if len(col) * (ny + psi.shape[1]) > MAX_ARRAY_ENTRIES:
         raise ValueError(f"degree {e} too large for the Hilbert lift: Psi_{e} could hold "
                          f"{len(col)} x {ny + psi.shape[1]} entries (the limit is "
-                         f"{_LIFT_ENTRY_CAP})")
+                         f"{MAX_ARRAY_ENTRIES})")
     # K(e) reaches kernel_lift as its only reference, so it is freed before
     # Psi_e is allocated
     return kernel_lift(_assemble(ideal, e, psi, col), ny, psi, ring.p)
 
 
 def _assemble(ideal: IdealPresentation, e: int, psi: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """K(e) = [F_e | G_e Psi_{e-1}], one generator degree k at a time: the
-    rows u*g of Mac(e) with u free of l and deg g = k are built in float64
-    over the columns col, multiplied by Psi_{e-1} and dropped before the next
-    degree's, so no [F_e | G_e] wider than one generator degree exists."""
+    """K(e) = [F_e | G_e Psi_{e-1}], one generator at a time: the rows u*g of
+    Mac(e) with u free of l are built in float64 over the columns col (their
+    positions once per generator degree k), multiplied by Psi_{e-1} and
+    dropped before the next generator's, so no [F_e | G_e] of more than one
+    generator exists.
+
+    A row u*g reaches only part of Psi_{e-1}: u m has the power of l of the
+    monomial m of degree k, so the l-divisible column l w it meets has w of
+    l-power below k. In lift order those w are the first
+    dim R_{e-1} - dim R_{e-1-k} rows of Psi_{e-1}, so the rows of degree k
+    are built that wide and multiplied by that prefix only: at verify
+    (4,1,3), e = 23, the rows of one degree-9 generator are 120 x 2040 and
+    meet 1740 of the 2300 rows of Psi_22, where the four together over every
+    column were 480 x 2600. Small temporaries matter beyond their own bytes:
+    the heap they leave behind after a lift stays resident."""
     ring = ideal.ring
     gens: dict[int, list[np.ndarray]] = {}
     for g in ideal.generators:
@@ -185,12 +192,14 @@ def _assemble(ideal: IdealPresentation, e: int, psi: np.ndarray, col: np.ndarray
     for k, cs in gens.items():
         # column of u times monomial j of degree k, u free of l
         idx = col[_rank(ring.nvars, e, free[k][:, None], ring.exps(k)[None])]
-        fg = np.zeros((len(cs) * len(idx), len(col)))
-        for i, c in enumerate(cs):
-            fg[np.arange(i * len(idx), (i + 1) * len(idx))[:, None], idx] = c[None, :]
-        out[row:row + len(fg), :ny] = fg[:, :ny]
-        out[row:row + len(fg), ny:] = _mulmod(fg[:, ny:], psi, ring.p)
-        row += len(fg)
+        at = np.arange(len(idx))[:, None]
+        reach = len(psi) - ring.dim(e - 1 - k)
+        for c in cs:
+            fg = np.zeros((len(idx), ny + reach))
+            fg[at, idx] = c[None, :]
+            out[row:row + len(fg), :ny] = fg[:, :ny]
+            out[row:row + len(fg), ny:] = _mulmod(fg[:, ny:], psi[:reach], ring.p)
+            row += len(fg)
     return out
 
 

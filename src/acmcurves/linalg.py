@@ -11,10 +11,14 @@ basis (kernel_lift) is read off it.
 
 The products run in float64 (BLAS) and are reduced once mod p, in _submul
 and _mulmod. With operands in [0, p) an inner product of length k is
-at most k*(p-1)**2: below 2**53 one float64 product is exact; otherwise both
-sides are split into 16-bit limbs (_limb_mulsub), whose products stay exact
-for k < 2**21. Pivot steps multiply two entries below 2**31 in int64: one
-path for every p < 2**31.
+at most k*(p-1)**2: while that plus p is at most 2**53 one float64 product
+is exact and is reduced in place (_floor_mod); otherwise both sides are
+split into 16-bit limbs (_limb_mulsub), whose products stay exact for
+k < 2**21. Pivot steps run in int64 with delayed reduction: a step
+subtracts a multiple in [0, p) of a reduced pivot row, so it adds at most
+(p-1)**2 to the largest |entry|, and the block is reduced only when the
+next step could leave int64. That is every two steps at p near 2**31 and
+never within a leaf at p = 32003. One path for every p < 2**31.
 """
 
 from __future__ import annotations
@@ -31,34 +35,44 @@ def _submul(a: np.ndarray, bcols: np.ndarray, xcols: np.ndarray, y: np.ndarray,
     The column blocks are gathered here, not by the caller: on the float path
     the block of x is freed before that of b is gathered, so the two are
     never alive together."""
-    if len(xcols) * (p - 1) ** 2 < 2**53:
+    if _float_exact(len(xcols), p):
         c = a[:, xcols] @ y
         np.subtract(a[:, bcols], c, out=c)
-        c = c.astype(np.int64)
-    else:
-        c = a[:, bcols].astype(np.int64)
-        _limb_mulsub(c, a[:, xcols], y, p)
+        return _floor_mod(c, p)
+    c = a[:, bcols].astype(np.int64)
+    _limb_mulsub(c, a[:, xcols], y, p)
     c %= p
     return c.astype(np.float64)
 
 
 def _mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """x @ y mod p as float64, for entries in [0, p)."""
-    if x.shape[1] * (p - 1) ** 2 < 2**53:
-        # reduced in the product's buffer with one quotient buffer. Exact:
-        # for integers c < 2**53 the rounding of c / p stays below the next
-        # integer, so floor(c / p) is the true quotient
-        c = x @ y
-        q = c / p
-        np.floor(q, out=q)
-        q *= p
-        c -= q
-        return c
+    if _float_exact(x.shape[1], p):
+        return _floor_mod(x @ y, p)
     c = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
     _limb_mulsub(c, x, y, p)
     np.negative(c, out=c)
     c %= p
     return c.astype(np.float64)
+
+
+def _float_exact(k: int, p: int) -> bool:
+    """Whether a float64 product of inner length k over [0, p), and a block
+    in [0, p) minus it, are exact and within the range of _floor_mod."""
+    return k * (p - 1) ** 2 + p <= 2**53
+
+
+def _floor_mod(c: np.ndarray, p: int) -> np.ndarray:
+    """c mod p in place, for float64 integers with |c| + p <= 2**53, with one
+    quotient buffer. Exact on both signs: c / p = q + r / p with q the true
+    quotient and 0 <= r < p, so c / p is 0 or at least 1 / p from an integer,
+    more than half an ulp of c / p, and floor gives q; q * p, at most
+    |c| + p - 1 in size, is a float64 integer."""
+    q = c / p
+    np.floor(q, out=q)
+    q *= p
+    c -= q
+    return c
 
 
 def _limb_mulsub(c: np.ndarray, x: np.ndarray, y: np.ndarray, p: int) -> None:
@@ -86,21 +100,31 @@ def _complement(cols: np.ndarray, k: int) -> np.ndarray:
 
 
 def _leaf(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan elimination of a few rows, one pivot at a time."""
-    a = x.astype(np.int64)
+    """Gauss-Jordan elimination of a few rows, one pivot at a time, in int64
+    with delayed reduction (module docstring). Only the pivot row, before its
+    zero test, and the pivot column, the multipliers, are reduced at a step;
+    the block when bound, the largest |entry| it may hold, could pass 2**63
+    at the next step, and once at the end."""
+    a = x[x.any(axis=1)].astype(np.int64)
+    bound, step = p - 1, (p - 1) ** 2
     piv = []
-    for i in a.any(axis=1).nonzero()[0]:
-        nz = a[i].nonzero()[0]
+    for i, row in enumerate(a):
+        row %= p
+        nz = row.nonzero()[0]
         if nz.size == 0:
-            continue
+            continue  # zero mod p when reached, so it stays zero
         c = nz[0]
-        a[i, c:] = a[i, c:] * pow(int(a[i, c]), p - 2, p) % p
-        hit = a[:, c].nonzero()[0]
-        hit = hit[hit != i]
-        # rows of the block are zero left of c, so only columns c.. change
-        a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[i, c:]) % p
+        row[c:] = row[c:] * pow(int(row[c]), p - 2, p) % p
+        if bound + step >= 2**63:
+            a %= p
+            bound = p - 1
+        mult = a[:, c] % p
+        mult[i] = 0
+        # the pivot row is zero left of c, so only columns c.. change
+        a[:, c:] -= np.multiply.outer(mult, row[c:])
+        bound += step
         piv.append(c)
-    # a row without a pivot is zero when reached and stays zero
+    a %= p
     piv = np.array(piv, dtype=np.intp)
     return piv, a[a.any(axis=1)][:, _complement(piv, a.shape[1])].astype(np.float64)
 
@@ -158,11 +182,13 @@ def kernel_lift(k: np.ndarray, ny: int, psi: np.ndarray, p: int) -> np.ndarray:
     that is 1 at f and -R at the pivots. A pivot in the c block sits in a
     row that is zero on the y block, so the vectors of the free y columns
     have z = 0, and those of the free c columns have z = psi c, a column of
-    psi minus psi on the pivot columns of the c block times R there: a
-    column selection of psi when the c block holds no pivot, else a _submul
-    whose product is as small as the number of those pivots. Both are built
-    _GATHER columns at a time: one gather of every selected column would be
-    a temporary as large as psi (10 MB at verify (4,1,3)).
+    psi minus psi on the pivot columns of the c block times R there. When
+    the c block holds no pivot (no l-torsion, T(e-1) = 0 in hilbert) every
+    c column is free and the z block is psi itself, copied in one slice.
+    Otherwise it is a _submul whose product is
+    as small as the number of those pivots, built _GATHER columns at a time:
+    one gather of every selected column would be a temporary as large as psi
+    (10 MB at verify (4,1,3)).
     """
     piv, r = _rref(k, p)
     free = _complement(piv, k.shape[1])
@@ -171,10 +197,14 @@ def kernel_lift(k: np.ndarray, ny: int, psi: np.ndarray, p: int) -> np.ndarray:
     inc = piv >= ny
     out = np.zeros((ny + len(psi), len(free)))
     out[free[:nyf], np.arange(nyf)] = 1
-    out[piv[~inc]] = np.where(r[~inc] > 0, p - r[~inc], 0)
+    neg = r[~inc]
+    np.subtract(p, neg, out=neg, where=neg > 0)
+    out[piv[~inc]] = neg
+    if not inc.any():
+        out[ny:, nyf:] = psi
+        return out
     cols, xcols, y = free[nyf:] - ny, piv[inc] - ny, r[inc][:, nyf:]
     for lo in range(0, len(cols), _GATHER):
         hi = lo + _GATHER
-        out[ny:, nyf + lo:nyf + hi] = (_submul(psi, cols[lo:hi], xcols, y[:, lo:hi], p)
-                                       if len(xcols) else psi[:, cols[lo:hi]])
+        out[ny:, nyf + lo:nyf + hi] = _submul(psi, cols[lo:hi], xcols, y[:, lo:hi], p)
     return out

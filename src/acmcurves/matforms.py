@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import _mulmod
-from .ring import Form, PolyRing
+from .ring import MAX_ARRAY_ENTRIES, Form, PolyRing
 
 
 class FormMatrix:
@@ -305,7 +305,9 @@ def _level_step(ring: PolyRing, level: list, entries: Sequence[Form], src: np.nd
     entry and one source group are one product (_times) of their gathered
     rows; their targets are distinct, so a fancy-index add places them.
     Returns the next level, whose zero sums are dropped, and (subsets,
-    degrees) of every subset that got a term.
+    degrees) of every subset that got a term. ValueError, before anything of
+    its size is allocated, when the sums of the level would hold more than
+    MAX_ARRAY_ENTRIES coefficients.
     """
     if len(src) == 0:
         return [], _NO_TERMS
@@ -324,9 +326,16 @@ def _level_step(ring: PolyRing, level: list, entries: Sequence[Form], src: np.nd
     if len(bad):
         hit = deg[tpos == tpos[bad[0]]]
         raise ValueError(f"degree mismatch: {hit.min()} vs {hit.max()} (matrix not graded)")
+    per_degree = np.bincount(tdeg)
+    degrees = np.flatnonzero(per_degree).tolist()
+    size = sum(int(per_degree[d]) * ring.dim(d) for d in degrees)
+    if size > MAX_ARRAY_ENTRIES:
+        raise ValueError(f"subset table level {int(targets[0]).bit_count()} too large: "
+                         f"{len(targets)} subsets hold {size} coefficients "
+                         f"(the limit is {MAX_ARRAY_ENTRIES})")
     slot = np.empty(len(targets), dtype=np.int64)
     sums = {}
-    for d in np.flatnonzero(np.bincount(tdeg)).tolist():
+    for d in degrees:
         members = np.flatnonzero(tdeg == d)
         slot[members] = np.arange(len(members))
         sums[d] = members, np.zeros((len(members), ring.dim(d)))

@@ -33,6 +33,13 @@ Monomial = tuple  # exponent vector, one non-negative entry per variable
 # above the degree-24 pieces (2925 monomials) that verify (4,1,3) ranks.
 MAX_FORM_DIM = 100_000
 
+# Most entries one dense array of coefficients may hold, 80 MB as float64:
+# a dual basis Psi_e of the Hilbert lift, or a level of a subset table of
+# matforms. The degree-10 surface at its default cutoff 24 needs
+# 2925 x 2365, verify (4,1,3) 2600 x 840, and the Pfaffians of
+# verify --t 15 --r 1 a level of 9.87M.
+MAX_ARRAY_ENTRIES = 100 * MAX_FORM_DIM
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the 2**31 modulus cap."""

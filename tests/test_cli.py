@@ -1,9 +1,15 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import acmcurves
 from acmcurves.cli import build_parser, main
 from acmcurves.ring import PolyRing
 
@@ -257,6 +263,26 @@ class TestVerify:
                                "--seed", "2", "--prime", "65537")
         assert code == 0
         assert json.loads(out)["parameters"]["p"] == 65537
+
+    def test_huge_t_exits_2_before_the_subset_tables_grow(self):
+        # level 5 of the maximal-minor table of t = 40 would hold 36.8M
+        # coefficients, above MAX_ARRAY_ENTRIES; it is refused before it is
+        # allocated. The child's address space is capped, so a table that
+        # grows instead fails this test rather than the host.
+        def cap_memory():
+            limit = 2 * 1024**3
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(Path(acmcurves.__file__).parents[1]),
+                                              os.environ.get("PYTHONPATH", "")])}
+        started = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "acmcurves.cli", "verify", "--t", "40",
+                               "--r", "1"], env=env, preexec_fn=cap_memory,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: subset table level 5 too large")
+        assert time.monotonic() - started < 20
 
 
 class TestScenario:

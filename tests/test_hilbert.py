@@ -12,9 +12,9 @@ from acmcurves.hilbert import (IdealPresentation, graded_piece_spans_equal,
                                h_vector_from_profile, hilbert_function,
                                ideal_piece_dim, macaulay_matrix,
                                minimal_generator_degrees)
-from acmcurves.linalg import rank_modp
+from acmcurves.linalg import _rref, kernel_lift, rank_modp
 from acmcurves.matforms import FormMatrix, maximal_minors
-from acmcurves.ring import PolyRing, random_form
+from acmcurves.ring import MAX_ARRAY_ENTRIES, PolyRing, random_form
 
 
 @pytest.fixture
@@ -454,7 +454,63 @@ class TestLiftMemory:
         ring, free = PolyRing(), PolyRing(nvars=3)
         h = [ring.dim(e) - ring.dim(e - 10) for e in range(25)]
         need = max(ring.dim(e) * (h[e - 1] + free.dim(e)) for e in range(1, 25))
-        assert need == 2925 * 2365 <= hilbert._LIFT_ENTRY_CAP
+        assert need == 2925 * 2365 <= MAX_ARRAY_ENTRIES
+
+
+class TestAssemble:
+    @staticmethod
+    def _full_width(ideal, e, psi, col):
+        """[F_e | G_e Psi_{e-1}] with G_e over every l-divisible column and
+        all of Psi_{e-1}, from the rows of Mac(e) whose multiplier is free of
+        l, grouped by generator degree as _assemble orders them."""
+        ring, p = ideal.ring, ideal.ring.p
+        mac = macaulay_matrix(ideal, e)
+        rows, start = {}, 0
+        for g in ideal.generators:
+            n = ring.dim(e - g.degree)
+            free = np.flatnonzero(ring.exps(e - g.degree)[:, -1] == 0) if n else []
+            rows.setdefault(g.degree, []).extend(start + i for i in free)
+            start += n
+        m = np.zeros((sum(map(len, rows.values())), len(col)), dtype=object)
+        m[:, col] = mac[[i for r in rows.values() for i in r]].astype(object)
+        ny = len(col) - len(psi)
+        prod = m[:, ny:] @ psi.astype(np.int64).astype(object) % p
+        return np.hstack([m[:, :ny], prod]).astype(np.int64)
+
+    @pytest.mark.parametrize("p", [32003, 2147483629])
+    def test_reachable_prefix_equals_the_full_width_product(self, p):
+        # generators of degrees 2 and 3, a cubic divisible by l = x3 among
+        # them: the rows of degree k meet only the first
+        # dim R_{e-1} - dim R_{e-1-k} rows of Psi_{e-1}, all of them while
+        # e - 1 - k < 0. Where the c block of K(e) holds no pivot, as at every
+        # degree of the 12 points (q1, q2, c), which miss l = 0, kernel_lift's
+        # z block, copied in one slice, is psi gathered on the free c columns.
+        # (q, x3 q', c) has 4 points on l = 0 and takes the _submul branch.
+        ring = PolyRing(p)
+        rng = random.Random(7)
+        x3 = ring.variable(3)
+        q1, q2, q3, c = (random_form(d, ring, rng) for d in (2, 2, 2, 3))
+        slices = torsion_degrees = 0
+        for gens in [(q1, q2, c, q1 * x3), (q1, q3 * x3, c)]:
+            ideal = IdealPresentation(ring=ring, generators=gens)
+            psi = np.zeros((0, 0))
+            for e in range(10):
+                col = hilbert._lift_order(ring, e)
+                k = hilbert._assemble(ideal, e, psi, col)
+                assert np.array_equal(k.astype(np.int64), self._full_width(ideal, e, psi, col)), e
+                ny = len(col) - len(psi)
+                piv, _ = _rref(k.copy(), p)
+                out = kernel_lift(k, ny, psi, p)
+                if (piv >= ny).any():
+                    torsion_degrees += 1
+                else:
+                    free = np.setdiff1d(np.arange(ny + psi.shape[1]), piv)
+                    nyf = int(np.searchsorted(free, ny))
+                    assert np.array_equal(out[ny:, nyf:], psi[:, free[nyf:] - ny]), e
+                    slices += 1
+                psi = out
+            assert psi.shape[1] == hilbert_function(ideal, 9).values[9]
+        assert slices >= 10 and torsion_degrees >= 1
 
 
 def spans_equal_every_degree(a, b, up_to):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from test_linalg import naive_rank
 
-from acmcurves.linalg import _LEAF, _mulmod, _submul, echelon_basis, kernel_lift, rank_modp
+from acmcurves.linalg import (_LEAF, _leaf, _mulmod, _submul, echelon_basis, kernel_lift,
+                              rank_modp)
 
 PRIMES = [7, 32003, 11863477, 2147483629]
 
@@ -111,6 +112,23 @@ def test_products_match_integer_arithmetic(k, p):
     assert np.array_equal(got.astype(np.int64), want.astype(np.int64))
 
 
+@pytest.mark.parametrize("p", [32003, 11863099])
+def test_submul_float_reduction_at_the_most_negative_c(p):
+    # b = 0 and x @ y as large as the float path allows (k (p-1)**2 + p is
+    # at most 2**53), so c = b - x @ y is the most negative value reduced in
+    # place. y[0] puts x @ y at 0 and at 1 mod p: results 0 and p - 1, where
+    # a quotient rounded the wrong way would give p or -1
+    k = (2**53 - p) // (p - 1) ** 2
+    x = np.full((1, k), p - 1, dtype=np.float64)
+    for y0, want in [((k - 1) % p, 0), ((k - 2) % p, p - 1)]:
+        y = np.full((k, 1), p - 1, dtype=np.float64)
+        y[0] = y0
+        c = -(p - 1) * ((k - 1) * (p - 1) + y0)
+        assert c % p == want and -c + p <= 2**53 and (x @ y)[0, 0] == -c
+        got = submul(np.zeros((1, 1)), x, y, p)
+        assert got.dtype == np.float64 and got[0, 0] == want
+
+
 @pytest.mark.parametrize("p", [32003, 11863099, 2147483629])
 @pytest.mark.parametrize("k", [1, 64, 65, 4096])
 def test_mulmod_exact_at_worst_case_magnitude(k, p):
@@ -200,3 +218,49 @@ def test_entries_outside_the_field_are_reduced():
     shifted = a + p * rng.choice([-3, -1, 1, 2], size=a.shape)
     assert rank_modp(shifted, p) == 9
     assert np.array_equal(echelon_basis(shifted, p), echelon_basis(a, p))
+
+
+def echelon_reference(mat, p):
+    """Reduced row echelon form with plain Python integers, nonzero rows in
+    pivot order."""
+    a = [[int(x) % p for x in row] for row in mat]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return np.array(a[:rank], dtype=np.int64).reshape(rank, len(a[0]) if a else 0)
+
+
+def test_leaf_crosses_the_int64_bound():
+    # At p = 2147483629 a pivot step adds up to (p-1)**2, about 2**62, to an
+    # entry, so the block must be reduced every two steps. One leaf of 16
+    # rows near p - 1 takes 13 steps. Rows 5, 7 and 15 are combinations of
+    # earlier rows: each is zero mod p when reached, but holds nonzero
+    # multiples of p after the steps since the last reduction (one, two and
+    # one of them), so it must be reduced before its zero test and must not
+    # pivot.
+    p = 2147483629
+    assert _LEAF == 16
+    rng = np.random.default_rng(16)
+    a = rng.integers(p - 2**20, p, size=(_LEAF, 24)).astype(object)
+    a[5] = (a[0] + 3 * a[2]) % p
+    a[7] = (7 * a[1] + a[6] + (p - 1) * a[4]) % p
+    a[15] = (a[3] + (p - 2) * a[9] + a[12] + 5 * a[14]) % p
+    a = a.astype(np.int64)
+    want = echelon_reference(a, p)
+    assert len(want) == naive_rank(a, p) == 13
+    piv, r = _leaf(a.astype(np.float64), p)
+    leads = [int(np.flatnonzero(row)[0]) for row in want]
+    assert piv.tolist() == leads == list(range(13))
+    assert np.array_equal(r, want[:, 13:])
+    assert rank_modp(a, p) == 13
+    assert np.array_equal(echelon_basis(a, p), want)
