@@ -128,10 +128,8 @@ def _cmd_hilbert(args) -> int:
     doc = jsonio.profile_to_doc(profile)
     if args.codim is not None and profile.certificate is None:
         _emit(doc, args.pretty)
-        print(f"h-vector not certified: the profile has no certificate by degree "
-              f"{profile.cutoff} (positive-dimensional, shared component or cutoff too small)",
-              file=sys.stderr)
-        return EXIT_NOT_STABILIZED
+        return _not_certified("h-vector", profile,
+                              "positive-dimensional, shared component or cutoff too small")
     if args.codim is not None:
         doc["hVector"] = list(h_vector_from_profile(profile, args.codim))
         doc["hVectorSum"] = sum(doc["hVector"])
@@ -146,10 +144,19 @@ def _cmd_intersect(args) -> int:
     doc = {"degree": count, "profile": jsonio.profile_to_doc(profile)}
     _emit(doc, args.pretty)
     if count is None:
-        print(f"stabilized value not certified by degree {profile.cutoff}: "
-              "shared component or cutoff too small", file=sys.stderr)
-        return EXIT_NOT_STABILIZED
+        return _not_certified("stabilized value", profile, "shared component or cutoff too small")
     return EXIT_OK
+
+
+def _not_certified(what: str, profile, causes: str) -> int:
+    """Say on stderr why a profile has no certificate; returns exit code 3.
+    Values flat at the cutoff point away from the growing-profile causes."""
+    values = profile.values
+    if len(values) > 1 and values[-1] == values[-2]:
+        causes = ("the values are flat, but no coordinate variable is a regularity witness: "
+                  "the scheme meets every coordinate hyperplane, or the cutoff is too small")
+    print(f"{what} not certified by degree {profile.cutoff}: {causes}", file=sys.stderr)
+    return EXIT_NOT_STABILIZED
 
 
 def _cmd_verify(args) -> int:

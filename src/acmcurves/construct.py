@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .hilbert import IdealPresentation
-from .matforms import FormMatrix, SkewFormMatrix, _det_grid, maximal_minors
+from .matforms import FormMatrix, SkewFormMatrix, laplace, maximal_minors
 from .ring import DEFAULT_PRIME, Form, PolyRing, random_form
 
 
@@ -123,12 +123,12 @@ def union_matrix(pair: ConstructionPair) -> FormMatrix:
         raise ValueError("r = 0 is degenerate: the union is M_big itself")
     ring = pair.m_big.ring
     tr = t - r
-    first_row = []
-    for i in range(r + 1):
-        grid = [[pair.m_big.entry(row, i)] + [pair.m_big.entry(row, r + 1 + k) for k in range(tr)]
-                for row in range(tr + 1)]
-        first_row.append(_det_grid(ring, grid))
-    ent = [first_row]
+    # F_i expands along its free column: the cofactors are the maximal
+    # minors of the embedded transpose, those of M_small
+    cofactors = maximal_minors(pair.m_small)
+    zero = ring.zero((tr + 1) * d)
+    ent = [[laplace([pair.m_big.entry(row, i) for row in range(tr + 1)], cofactors, zero)
+            for i in range(r + 1)]]
     for row in range(tr + 1, t):
         ent.append([pair.m_big.entry(row, j) for j in range(r + 1)])
     deg = [[(tr + 1) * d] * (r + 1)] + [[d] * (r + 1) for _ in range(r - 1)]
@@ -165,13 +165,16 @@ def skew_matrix_G(pair: ConstructionPair) -> SkewFormMatrix:
     tr = t - r
     q = tr + 1
     size = 2 * t - 2 * r + 1
-    tail_rows = list(range(tr + 1, t))
+    free = [row[:r + 1] for row in pair.m_big.entries]
+    slots = [row[:r + 1] for row in pair.m_big.degree_matrix]
+    zero = ring.zero((r + 1) * d)
     upper: dict[tuple[int, int], Form] = {}
+    for j in range(1, q):
+        # G_i^j expands along row i; rows j and the tail share one table
+        cofactors = maximal_minors(FormMatrix(ring, [free[j], *free[q:]], [slots[j], *slots[q:]]))
+        for i in range(j):
+            upper[(i, j)] = laplace(free[i], cofactors, zero)
     for i in range(q):
-        for j in range(i + 1, q):
-            grid = [[pair.m_big.entry(row, col) for col in range(r + 1)]
-                    for row in [i, j] + tail_rows]
-            upper[(i, j)] = _det_grid(ring, grid)
         for k in range(tr):
             upper[(i, q + k)] = pair.m_small.entry(k, i)
     return SkewFormMatrix.from_upper(ring, size, upper)

@@ -106,11 +106,11 @@ def profile_to_doc(profile: HilbertProfile) -> dict:
     }
 
 
-def report_to_doc(report: VerificationReport, include_timings: bool = False) -> dict:
+def report_to_doc(report: VerificationReport) -> dict:
     """Canonical report document.
 
-    Timings are wall-clock diagnostics and stay out of the default document
-    so that identical configs serialize to byte-identical JSON.
+    Timings are wall-clock diagnostics and stay out of it, so that identical
+    configs serialize to byte-identical JSON.
     """
     doc = {
         "parameters": report.parameters,
@@ -124,8 +124,6 @@ def report_to_doc(report: VerificationReport, include_timings: bool = False) -> 
         "pass": report.passed,
         "failure": report.failure,
     }
-    if include_timings:
-        doc["timings"] = {k: round(v, 6) for k, v in report.timings.items()}
     if report.cases is not None:
         for name, case in report.cases.items():
             doc[name] = case["observed"]

@@ -20,9 +20,9 @@ multiplication by e from R_b to R_{b + deg e}. Within one entry and group
 the targets are distinct, so one fancy-index add places every product. A
 target whose terms have two degrees means the matrix is not graded, and is
 refused with ValueError rather than summed into a mixed form. Form objects
-are made only for the results. Small square determinants (determinant,
-minor, and the blocks that construct assembles) keep the per-product
-dictionary table of _det_grid.
+are made only for the results. Every other determinant (determinant, minor,
+and the blocks that construct assembles) is one Laplace expansion (laplace)
+against maximal minors from such a table.
 """
 
 from __future__ import annotations
@@ -128,64 +128,26 @@ class SkewFormMatrix:
 
 # ---- determinants of form matrices ----
 
-def _det_grid(ring: PolyRing, grid: Sequence[Sequence[Form]]) -> Form:
-    """Determinant by dynamic programming over column subsets.
-
-    Level k of the table holds det(rows 0..k-1, columns S) for |S| = k, so
-    evaluating every maximal minor of a t x (t+1) matrix reuses all the
-    shared subminors.
-    """
-    k = len(grid)
-    if any(len(row) != k for row in grid):
-        raise ValueError("determinant needs a square selection")
-    table = _column_subset_table(ring, grid, k)
-    full = tuple(range(k))
-    return table.get(full, ring.zero(_grid_degree(grid)))
-
-
-def _column_subset_table(ring: PolyRing, rows, ncols: int) -> dict[tuple, Form]:
-    """table[S] = det(rows 0..k-1 against column subset S) for |S| = len(rows).
-
-    Built level by level, so every subminor is computed once and shared by
-    all determinants that contain it. Zero partial determinants are pruned.
-    """
-    table: dict[tuple, Form] = {(): ring.one()}
-    for i, row in enumerate(rows):
-        nxt: dict[tuple, Form] = {}
-        for used, sub in table.items():
-            if sub.is_zero:
-                continue
-            for j in range(ncols):
-                if j in used:
-                    continue
-                e = row[j]
-                if e.is_zero:
-                    continue
-                key = tuple(sorted(used + (j,)))
-                pos = key.index(j)
-                term = e * sub
-                if (i + pos) % 2:
-                    term = -term
-                acc = nxt.get(key)
-                nxt[key] = term if acc is None else acc + term
-        table = nxt
-        if not table:
-            break
-    return table
-
-
-def _grid_degree(grid) -> int:
-    # declared degree for an identically-zero determinant; best effort only
-    d = 0
-    for i, row in enumerate(grid):
-        d += row[i].degree if i < len(row) else 0
-    return d
+def laplace(row: Sequence[Form], cofactors: Sequence[Form], zero: Form) -> Form:
+    """sum over a of (-1)**a * row[a] * cofactors[a]; zero when no term is
+    left. Terms of two degrees (a matrix that is not graded) raise
+    ValueError in Form addition."""
+    total = zero
+    for a, (e, c) in enumerate(zip(row, cofactors)):
+        if not (e.is_zero or c.is_zero):
+            total = total - e * c if a % 2 else total + e * c
+    return total
 
 
 def determinant(m: FormMatrix) -> Form:
+    """Expansion along row 0 against the maximal minors of rows 1..k-1."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    return _det_grid(m.ring, m.entries)
+    if m.rows == 1:
+        return m.entries[0][0]
+    rest = FormMatrix(m.ring, m.entries[1:], m.degree_matrix[1:])
+    zero = m.ring.zero(_minor_degree(m, range(m.rows), range(m.cols)))
+    return laplace(m.entries[0], maximal_minors(rest), zero)
 
 
 def minor(m: FormMatrix, rowset: Sequence[int], colset: Sequence[int]) -> Form:
@@ -199,8 +161,8 @@ def minor(m: FormMatrix, rowset: Sequence[int], colset: Sequence[int]) -> Form:
         return m.ring.one()
     if rs[0] < 0 or rs[-1] >= m.rows or cs[0] < 0 or cs[-1] >= m.cols:
         raise ValueError("index out of range")
-    grid = [[m.entries[i][j] for j in cs] for i in rs]
-    return _det_grid(m.ring, grid)
+    return determinant(FormMatrix(m.ring, [[m.entries[i][j] for j in cs] for i in rs],
+                                  [[m.degree_matrix[i][j] for j in cs] for i in rs]))
 
 
 def maximal_minors(m: FormMatrix) -> list[Form]:

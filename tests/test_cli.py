@@ -242,6 +242,20 @@ class TestHilbertInput:
         assert doc["certificate"] is None
         assert "hVector" not in doc and "hVectorSum" not in doc
         assert "not certified" in err
+        assert "positive-dimensional, shared component or cutoff too small" in err
+
+    def test_flat_uncertified_profile_names_the_witness(self, capsys, tmp_path):
+        # the twisted cubic cut by x2 = 0: length 3 at [1:0:0:0] (double) and
+        # [0:0:0:1], so every coordinate hyperplane meets the scheme and no
+        # coordinate variable certifies the flat values
+        gens = self._twisted_cubic() + [[[1, [0, 0, 1, 0]]]]
+        code, doc, err = self._hilbert(capsys, tmp_path, gens, "--codim", "3", "--cutoff", "12")
+        assert code == 3
+        assert doc["values"] == [1] + [3] * 12
+        assert doc["certificate"] is None and "hVector" not in doc
+        assert "not certified by degree 12" in err
+        assert "no coordinate variable is a regularity witness" in err
+        assert "shared component" not in err
 
 
 class TestVerify:

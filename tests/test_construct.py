@@ -7,6 +7,7 @@ from acmcurves.construct import (ConstructionPair, DegenerateSample, build_linea
                                  skew_matrix_G, union_matrix)
 from acmcurves.matforms import FormMatrix
 from acmcurves.ring import PolyRing
+from test_matforms import naive_det
 
 GRID = [(t, r) for t in range(2, 7) for r in range(1, t)]
 
@@ -190,3 +191,39 @@ class TestSkewMatrix:
         pfs = principal_pfaffians(skew_matrix_G(pair))
         assert len(pfs) == 5
         assert sorted(p.degree for p in pfs) == [2, 2, 2, 4, 4]
+
+
+# r = 1 (no tail rows), r = t-1 (q = 2) and d > 1; the large prime takes
+# the 16-bit limb path of the table products
+BLOCK_CASES = [(2, 1, 1), (3, 1, 1), (4, 2, 1), (5, 2, 1), (5, 4, 1), (2, 1, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("p", [32003, 2147483629])
+@pytest.mark.parametrize("t,r,d", BLOCK_CASES)
+class TestBlocksAgainstCofactorOracle:
+    """The union and skew blocks against a plain cofactor expansion of the
+    grids they are defined by, signs included."""
+
+    def pair(self, t, r, d, p):
+        return build_uniform_pair(t, r, d, random.Random(1000 * t + 100 * r + d),
+                                  ring=PolyRing(p, 4))
+
+    def test_union_first_row(self, t, r, d, p):
+        pair = self.pair(t, r, d, p)
+        big, tr = pair.m_big, t - r
+        u = union_matrix(pair)
+        for i in range(r + 1):
+            grid = [[big.entry(row, i)] + [big.entry(row, r + 1 + k) for k in range(tr)]
+                    for row in range(tr + 1)]
+            assert u.entry(0, i) == naive_det(big.ring, grid)
+
+    def test_skew_determinant_block(self, t, r, d, p):
+        pair = self.pair(t, r, d, p)
+        big, q = pair.m_big, t - r + 1
+        g = skew_matrix_G(pair)
+        for i in range(q):
+            for j in range(i + 1, q):
+                grid = [[big.entry(row, col) for col in range(r + 1)]
+                        for row in [i, j, *range(q, t)]]
+                assert g.entry(i, j) == naive_det(big.ring, grid)
+                assert g.entry(j, i) == -g.entry(i, j)

@@ -183,6 +183,33 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant(random_matrix(ring, 2, 3, 1, random.Random(0)))
 
+    def test_1x1_is_entry(self, ring):
+        x = ring.variable(2)
+        assert determinant(FormMatrix(ring, [[x]])) == x
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_mixed_row_degrees_match_oracle(self, p):
+        ring = PolyRing(p)
+        m = graded_matrix(ring, [3, 2, 1], [0, 0, 0], random.Random(17))
+        det = determinant(m)
+        assert det == naive_det(ring, m.entries)
+        assert det.degree == 6 and not det.is_zero
+
+    @pytest.mark.parametrize("zero_row", [0, 1, 2])
+    def test_zero_row_gives_zero(self, ring, zero_row):
+        rng = random.Random(18)
+        m = graded_matrix(ring, [1, 1, 1], [0, 0, 0], rng)
+        ent = [list(row) for row in m.entries]
+        ent[zero_row] = [ring.zero(1)] * 3
+        det = determinant(FormMatrix(ring, ent, m.degree_matrix))
+        assert det.is_zero and det.degree == 3
+
+    def test_non_graded_rejected(self, ring):
+        # x0*x3 has degree 2 and x1^2*x2 degree 3: no single degree to sum in
+        x = [ring.variable(i) for i in range(4)]
+        with pytest.raises(ValueError, match="degree mismatch"):
+            determinant(FormMatrix(ring, [[x[0], x[1] * x[1]], [x[2], x[3]]]))
+
 
 class TestDegreeMatrix:
     def test_all_linear(self, ring):
