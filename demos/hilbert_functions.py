@@ -1,10 +1,11 @@
-"""Hilbert functions by exact rank, with no Groebner bases anywhere.
+"""Hilbert functions from the inverse system, with no Groebner bases anywhere.
 
 The degree-d piece of an ideal is the row space of the Macaulay matrix of
-its generators; its dimension is a rank over F_p. Differencing the quotient
-Hilbert function recovers h-vectors, and a Bayer-Stillman regularity
-certificate proves the function constant, so its value is the length of a
-zero-dimensional scheme.
+its generators. hilbert_function ranks none of those matrices: it lifts a
+basis of the dual space I_d^perp (Macaulay's inverse system) one degree at
+a time, and H(d) is its size. Differencing the quotient Hilbert function
+recovers h-vectors, and a Bayer-Stillman regularity certificate proves the
+function constant, so its value is the length of a zero-dimensional scheme.
 """
 
 import random

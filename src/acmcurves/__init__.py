@@ -1,8 +1,8 @@
 """Exact tools for determinantal space curves over prime fields.
 
 Construction of codimension-3 arithmetically Gorenstein schemes as
-intersections of determinantal curves, Hilbert functions through
-Macaulay-matrix ranks, Pfaffian generator sets, and the closed-form
+intersections of determinantal curves, Hilbert functions through the
+inverse-system lift, Pfaffian generator sets, and the closed-form
 intersection-count bounds, all verified by exact linear algebra over F_p.
 """
 

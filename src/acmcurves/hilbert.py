@@ -74,19 +74,11 @@ class HilbertProfile:
 
 def macaulay_matrix(ideal: IdealPresentation, d: int) -> np.ndarray:
     """Rows are m*g for each generator g and each monomial m of degree d - deg g,
-    written against the degree-d monomial basis (one column per monomial)."""
+    written against the degree-d monomial basis (one column per monomial):
+    the int64 stack of the matrices g.mul_matrix(d - deg g)."""
     ring = ideal.ring
-    gens = [g for g in ideal.generators if g.degree <= d]
-    out = np.zeros((sum(ring.dim(d - g.degree) for g in gens), ring.dim(d)), dtype=np.int64)
-    # one table per generator degree, built per call: caching them like the
-    # small tables of mul_index raises the peak memory of long sweeps
-    tables = {k: ring.product_positions(d - k, k) for k in {g.degree for g in gens}}
-    row = 0
-    for g in gens:
-        idx = tables[g.degree]
-        out[np.arange(row, row + len(idx))[:, None], idx] = g.coeffs[None, :]
-        row += len(idx)
-    return out
+    blocks = [g.mul_matrix(d - g.degree) for g in ideal.generators if g.degree <= d]
+    return np.concatenate([np.zeros((0, ring.dim(d)))] + blocks, dtype=np.int64, casting="unsafe")
 
 
 def ideal_piece_dim(ideal: IdealPresentation, d: int) -> int:
@@ -179,7 +171,9 @@ def _assemble(ideal: IdealPresentation, e: int, psi: np.ndarray, col: np.ndarray
     (4,1,3), e = 23, the rows of one degree-9 generator are 120 x 2040 and
     meet 1740 of the 2300 rows of Psi_22, where the four together over every
     column were 480 x 2600. Small temporaries matter beyond their own bytes:
-    the heap they leave behind after a lift stays resident."""
+    the heap they leave behind after a lift stays resident. That is why these
+    rows are placed here and not cut from Form.mul_matrix: the full matrix of
+    one degree-9 generator there is 680 x 2600 (14 MB), not 120 x 2040."""
     ring = ideal.ring
     gens: dict[int, list[np.ndarray]] = {}
     for g in ideal.generators:
@@ -254,10 +248,12 @@ def h_vector_from_profile(profile: HilbertProfile, codimension: int) -> tuple[in
     nvars - c, so that many difference passes reduce the Hilbert function to
     the Artinian one. Only a profile with a certificate is accepted: without
     one the tail of the values is not known to be final, so no h-vector is
-    backed by it. The differenced sequence must end in at least two zeros.
-    Negative entries mean the input is not arithmetically Cohen-Macaulay at
-    this cutoff (or the presentation is not saturated) and are reported as
-    an error.
+    backed by it. A certificate proves H eventually constant, so it fixes the
+    codimension: nvars - 1 when the constant is positive, nvars when it is 0;
+    any other codimension is refused with ValueError naming that one. The
+    differenced sequence must end in at least two zeros. Negative entries
+    mean the input is not arithmetically Cohen-Macaulay at this cutoff (or
+    the presentation is not saturated) and are reported as an error.
     """
     ndiff = profile.nvars - codimension
     if ndiff < 0:
@@ -265,6 +261,11 @@ def h_vector_from_profile(profile: HilbertProfile, codimension: int) -> tuple[in
     if profile.certificate is None:
         raise ValueError(f"profile not certified by degree {profile.cutoff}: no h-vector "
                          "(positive-dimensional, shared component or cutoff too small)")
+    implied = profile.nvars - (profile.stabilized_value > 0)
+    if codimension != implied:
+        raise ValueError(f"codimension {codimension} does not match the profile: its certificate "
+                         f"makes H constant at {profile.stabilized_value}, so the codimension "
+                         f"is {implied}")
     seq = list(profile.values)
     for _ in range(ndiff):
         seq = [seq[i] - (seq[i - 1] if i else 0) for i in range(len(seq))]

@@ -15,9 +15,10 @@ groups: for each degree d present, the masks of the subsets whose value is
 a nonzero form of degree d, in ascending order, and one int64 array with a
 row of coefficients per mask. A step to the next level lists its terms (sign,
 matrix entry e, source subset, target subset) and makes one exact product
-per entry and source group: the gathered rows times the matrix of
-multiplication by e from R_b to R_{b + deg e}. Within one entry and group
-the targets are distinct, so one fancy-index add places every product. A
+per entry and source group: the gathered rows times e.mul_matrix(b), the
+matrix of multiplication by e from R_b to R_{b + deg e}, the placement that
+Form products use too. Within one entry and group the targets are
+distinct, so one fancy-index add places every product. A
 target whose terms have two degrees means the matrix is not graded, and is
 refused with ValueError rather than summed into a mixed form. Form objects
 are made only for the results. Every other determinant (determinant, minor,
@@ -247,25 +248,15 @@ def _sorted_index(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], pos
 
 
-def _times(x: np.ndarray, e: Form, b: int, reduce: bool) -> np.ndarray:
-    """Rows x over R_b times e, as float64 rows over R_{b + deg e}: one
-    product with the matrix of multiplication by e, whose row i is e times
-    basis monomial i (placed by mul_index); reduced mod p by _mulmod when
-    asked."""
-    ring = e.ring
-    mul = np.zeros((ring.dim(b), ring.dim(b + e.degree)))
-    mul[np.arange(ring.dim(b)), ring.mul_index(e.degree, b)] = e.coeffs[:, None]
-    return _mulmod(x, mul, ring.p) if reduce else x @ mul
-
-
 def _level_step(ring: PolyRing, level: list, entries: Sequence[Form], src: np.ndarray,
                 ent: np.ndarray, neg: np.ndarray, tmask: np.ndarray) -> tuple[list, tuple]:
     """The next level of a subset table, from its terms.
 
     Term m adds (-1)**neg[m] * entries[ent[m]] times subset src[m] of level
     (an index into _level_masks(level)) to subset tmask[m]. The terms of one
-    entry and one source group are one product (_times) of their gathered
-    rows; their targets are distinct, so a fancy-index add places them.
+    entry and one source group are one product of their gathered rows with
+    the entry's mul_matrix; their targets are distinct, so a fancy-index
+    add places them.
     Returns the next level, whose zero sums are dropped, and (subsets,
     degrees) of every subset that got a term. ValueError, before anything of
     its size is allocated, when the sums of the level would hold more than
@@ -317,7 +308,9 @@ def _level_step(ring: PolyRing, level: list, entries: Sequence[Form], src: np.nd
     for lo, hi, e, g in zip(cuts, cuts[1:], ent[first].tolist(), grp[first].tolist()):
         e = entries[e]
         b, _, block = level[g]
-        prod = _times(block[rows[lo:hi]], e, b, not raw)
+        x = block[rows[lo:hi]]
+        # the matrix is never bound, so two of them are never alive at once
+        prod = x @ e.mul_matrix(b) if raw else _mulmod(x, e.mul_matrix(b), p)
         prod *= sign[lo:hi]
         sums[b + e.degree][1][dest[lo:hi]] += prod
     nxt = []

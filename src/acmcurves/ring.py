@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .linalg import _mulmod
+
 DEFAULT_PRIME = 32003
 
 Monomial = tuple  # exponent vector, one non-negative entry per variable
@@ -118,13 +120,11 @@ def _rank(nvars: int, degree: int, *factors: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _product_positions(nvars: int, a: int, b: int) -> np.ndarray:
+@functools.cache
+def _mul_index(nvars: int, a: int, b: int) -> np.ndarray:
     table = _rank(nvars, a + b, _exps(nvars, a)[:, None], _exps(nvars, b)[None])
     table.setflags(write=False)
     return table
-
-
-_mul_index = functools.cache(_product_positions)
 
 
 class PolyRing:
@@ -167,14 +167,10 @@ class PolyRing:
         """Exponent matrix of the degree-d basis, shape (dim(d), nvars), read-only."""
         return _exps(self.nvars, degree)
 
-    def product_positions(self, a: int, b: int) -> np.ndarray:
-        """Read-only table T of shape (dim(a), dim(b)): basis monomial i of
-        degree a times basis monomial j of degree b is basis monomial T[i, j]
-        of degree a + b."""
-        return _product_positions(self.nvars, a, b)
-
     def mul_index(self, a: int, b: int) -> np.ndarray:
-        """product_positions(a, b), cached: the table behind every form product."""
+        """Read-only table T of shape (dim(a), dim(b)), cached: basis monomial
+        i of degree a times basis monomial j of degree b is basis monomial
+        T[i, j] of degree a + b. It places every form product (Form.mul_matrix)."""
         return _mul_index(self.nvars, a, b)
 
     # ---- form constructors ----
@@ -287,25 +283,29 @@ class Form:
         return self + (-other)
 
     def __mul__(self, other) -> Form:
+        """The coefficients of the factor with fewer monomials times the
+        mul_matrix of the other, reduced by _mulmod: exact for every p."""
         if isinstance(other, int):
             return self.scale(other)
         if self.ring != other.ring:
             raise ValueError("forms live in different rings")
         ring = self.ring
-        deg = self.degree + other.degree
         if self.is_zero or other.is_zero:
-            return ring.zero(deg)
-        # Products are reduced below 2**31 before the scatter-add and each
-        # output slot sums at most min(dim a, dim b) of them, so the float64
-        # accumulator of bincount stays below 2**53, hence exact, for every
-        # p < 2**31 until a factor has 2**22 monomials (a table far too big
-        # to build).
-        prods = np.multiply.outer(self.coeffs, other.coeffs) % ring.p
-        idx = ring.mul_index(self.degree, other.degree)
-        acc = np.bincount(idx.ravel(), weights=prods.ravel(), minlength=ring.dim(deg))
-        return Form(ring, deg, acc.astype(np.int64) % ring.p)
+            return ring.zero(self.degree + other.degree)
+        small, big = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        acc = _mulmod(small.coeffs[None], big.mul_matrix(small.degree), ring.p)
+        return Form(ring, self.degree + other.degree, acc[0].astype(np.int64))
 
     __rmul__ = __mul__
+
+    def mul_matrix(self, b: int) -> np.ndarray:
+        """The matrix of multiplication by this form from R_b to R_{b + degree},
+        float64 of shape (dim R_b, dim R_{b + degree}): row i is the form
+        times basis monomial i of degree b, placed by mul_index."""
+        ring = self.ring
+        out = np.zeros((ring.dim(b), ring.dim(b + self.degree)))
+        out[np.arange(len(out))[:, None], ring.mul_index(b, self.degree)] = self.coeffs
+        return out
 
     def scale(self, c: int) -> Form:
         c %= self.ring.p

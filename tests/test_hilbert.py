@@ -15,6 +15,7 @@ from acmcurves.hilbert import (IdealPresentation, graded_piece_spans_equal,
 from acmcurves.linalg import _rref, kernel_lift, rank_modp
 from acmcurves.matforms import FormMatrix, maximal_minors
 from acmcurves.ring import MAX_ARRAY_ENTRIES, PolyRing, random_form
+from test_ring import schoolbook_product
 
 
 @pytest.fixture
@@ -45,10 +46,13 @@ class TestPieceDim:
         ideal = twisted_cubic_ideal(ring)
         m = macaulay_matrix(ideal, 3)
         assert m.shape == (3 * 4, ring.dim(3))
+        assert m.dtype == np.int64
+        # no generator of degree <= 1: no rows, every column
+        assert macaulay_matrix(ideal, 1).shape == (0, ring.dim(1))
 
     def test_macaulay_rows_are_generator_multiples(self, ring):
-        """Each row of the vectorized build must equal the coefficient vector
-        of m*g computed through plain form multiplication."""
+        """Each row of the vectorized build must equal m*g computed by the
+        schoolbook product, independent of the mul_index placement."""
         rng = random.Random(17)
         gens = (random_form(2, ring, rng), random_form(3, ring, rng))
         ideal = IdealPresentation(ring=ring, generators=gens)
@@ -57,8 +61,8 @@ class TestPieceDim:
         row = 0
         for g in gens:
             for mono in ring.monomials(d - g.degree):
-                expect = (ring.monomial(mono) * g).coeffs
-                assert list(mat[row]) == list(expect)
+                got = {m: c for m, c in zip(ring.monomials(d), mat[row].tolist()) if c}
+                assert got == schoolbook_product(ring.monomial(mono), g)
                 row += 1
         assert row == mat.shape[0]
 
@@ -324,12 +328,29 @@ class TestHVector:
             h_vector_from_profile(prof, 2)
 
     def test_negative_differences_reported(self, ring):
-        # the quotient by all four variables has Krull dimension 0, so asking
-        # for codimension 3 (dimension 1) produces a negative difference
+        # the false plateau is certified at (6, 3) with H = 1 from degree 5
+        # on, so codimension 3 is the right one, and its first differences
+        # 1, 1, 0, 0, 0, -1 go negative at degree 5
+        prof = hilbert_function(false_plateau_ideal(ring))
+        assert prof.certificate == (6, 3)
+        with pytest.raises(ValueError, match="negative difference at degree 5: not ACM"):
+            h_vector_from_profile(prof, 3)
+
+    def test_codimension_fixed_by_the_certificate(self, ring):
+        # the quotient by all four variables has Krull dimension 0: its
+        # certificate makes H constant at 0, so only codimension 4 is accepted
         ideal = IdealPresentation(ring=ring, generators=tuple(ring.variable(i) for i in range(4)))
         prof = hilbert_function(ideal, 6)
-        with pytest.raises(ValueError, match="not ACM"):
+        with pytest.raises(ValueError, match="codimension 3 does not match .* is 4"):
             h_vector_from_profile(prof, 3)
+        assert h_vector_from_profile(prof, 4) == (1,)
+        # a scheme of length B(3, 1) = 8 (H constant at 8 > 0) has codimension 3 only
+        pair = build_linear_pair(3, 1, random.Random(3))
+        prof = hilbert_function(gorenstein_generators(pair))
+        assert prof.stabilized_value == bound_linear(3, 1) == 8
+        for wrong in (-1, 2, 4):
+            with pytest.raises(ValueError, match=f"codimension {wrong} does not match .* is 3"):
+                h_vector_from_profile(prof, wrong)
 
     def test_artinian_three_variables(self):
         ring3 = PolyRing(nvars=3)

@@ -114,6 +114,12 @@ class TestFormMul:
                 prod = f * g
                 assert prod.degree == da + db
                 assert prod.terms == schoolbook_product(f, g)
+                # row i of f.mul_matrix(db) is f times basis monomial i
+                mul = f.mul_matrix(db)
+                assert mul.shape == (ring.dim(db), ring.dim(da + db))
+                for mono, row in zip(ring.monomials(db), mul.astype(np.int64).tolist()):
+                    got = {m: c for m, c in zip(ring.monomials(da + db), row) if c}
+                    assert got == schoolbook_product(f, ring.monomial(mono))
 
     def test_sparse_factors_match_schoolbook(self, ring):
         f = ring.form(3, [((3, 0, 0, 0), 5), ((0, 1, 0, 2), ring.p - 1)])
@@ -126,7 +132,7 @@ class TestFormMul:
         top = 8 if nvars <= 5 else 5  # the (8, 8) tables in 7 variables hold 9e6 entries
         for a in range(top + 1):
             for b in range(top + 1):
-                table = ring.product_positions(a, b)
+                table = ring.mul_index(a, b)
                 assert table.shape == (ring.dim(a), ring.dim(b))
                 for i in range(0, ring.dim(a), 256):  # row blocks bound the memory
                     assert np.array_equal(ring.exps(a + b)[table[i:i + 256]],
@@ -234,7 +240,7 @@ class TestRingContext:
     def test_basis_above_the_limit_refused(self):
         ring = PolyRing(nvars=500)  # degree 2: 125,250 monomials
         assert ring.exps(1).shape == (500, 500)
-        for build in (ring.exps, ring.zero, lambda d: ring.product_positions(1, d - 1)):
+        for build in (ring.exps, ring.zero, lambda d: ring.mul_index(1, d - 1)):
             with pytest.raises(ValueError, match="degree 2 too large"):
                 build(2)
         with pytest.raises(ValueError, match="too large"):
