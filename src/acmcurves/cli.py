@@ -39,17 +39,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bound", help="closed-form intersection bound and h-vector")
-    b.add_argument("--t", type=int, required=True)
-    b.add_argument("--r", type=int, required=True)
-    b.add_argument("--d", type=int, default=1)
+    # the pair parameters, and the sample of a pair drawn at random
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--t", type=int, required=True)
+    params.add_argument("--r", type=int, required=True)
+    params.add_argument("--d", type=int, default=1)
+    sample = argparse.ArgumentParser(add_help=False, parents=[params])
+    sample.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    sample.add_argument("--seed", type=int, default=0)
 
-    c = sub.add_parser("construct", help="emit a construction pair and its derived data")
-    c.add_argument("--t", type=int, required=True)
-    c.add_argument("--r", type=int, required=True)
-    c.add_argument("--d", type=int, default=1)
-    c.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    c.add_argument("--seed", type=int, default=0)
+    sub.add_parser("bound", parents=[params], help="closed-form intersection bound and h-vector")
+
+    c = sub.add_parser("construct", parents=[sample],
+                       help="emit a construction pair and its derived data")
     c.add_argument("--out-dir", type=Path, default=None,
                    help="also write mSmall/mBig/union/skew/generators as separate JSON files")
 
@@ -64,12 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--b", type=Path, required=True)
     i.add_argument("--cutoff", type=int, default=None)
 
-    v = sub.add_parser("verify", help="full construction verification report")
-    v.add_argument("--t", type=int, required=True)
-    v.add_argument("--r", type=int, required=True)
-    v.add_argument("--d", type=int, default=1)
-    v.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    v.add_argument("--seed", type=int, default=0)
+    sub.add_parser("verify", parents=[sample], help="full construction verification report")
 
     s = sub.add_parser("scenario", help="run a scripted example scenario")
     s.add_argument("--id", required=True,
@@ -126,11 +123,11 @@ def _cmd_hilbert(args) -> int:
     ideal = jsonio.ideal_from_doc(json.loads(args.input.read_text()))
     profile = hilbert_function(ideal, args.cutoff)
     doc = jsonio.profile_to_doc(profile)
-    if args.codim is not None and profile.certificate is None:
-        _emit(doc, args.pretty)
-        return _not_certified("h-vector", profile,
-                              "positive-dimensional, shared component or cutoff too small")
     if args.codim is not None:
+        if profile.certificate is None:
+            _emit(doc, args.pretty)
+            return _not_certified("h-vector", profile,
+                                  "positive-dimensional, shared component or cutoff too small")
         doc["hVector"] = list(h_vector_from_profile(profile, args.codim))
         doc["hVectorSum"] = sum(doc["hVector"])
     _emit(doc, args.pretty)

@@ -47,9 +47,9 @@ SCENARIO_SEEDS = {
 class VerificationReport:
     """Observed-versus-expected record for one verification run.
 
-    passed is the conjunction of every individual equality that was checked;
     cases holds named sub-results for scenarios that count more than one
-    intersection.
+    intersection. The verdict is not stored: passed is computed from the
+    checks recorded so far.
     """
 
     parameters: dict
@@ -61,11 +61,13 @@ class VerificationReport:
     generator_degrees_expected: dict[int, int] | None = None
     pfaffian_span_equal: bool | None = None
     cases: dict[str, dict] | None = None
-    passed: bool = False
     failure: str | None = None
     timings: dict[str, float] = field(default_factory=dict)
 
-    def recompute_passed(self) -> None:
+    @property
+    def passed(self) -> bool:
+        """True iff no failure is recorded, at least one check was made, and
+        every equality with an expected value set holds."""
         checks = []
         if self.expected_degree is not None:
             checks.append(self.observed_degree == self.expected_degree)
@@ -77,7 +79,7 @@ class VerificationReport:
             checks.append(self.pfaffian_span_equal)
         if self.cases is not None:
             checks.extend(c["observed"] == c["expected"] for c in self.cases.values())
-        self.passed = bool(checks) and all(checks) and self.failure is None
+        return bool(checks) and all(checks) and self.failure is None
 
 
 @dataclass(frozen=True)
@@ -209,11 +211,8 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
         t0 = time.perf_counter()
         report.pfaffian_span_equal = _spans_match_generators(pair, gens, skew_matrix_G(pair))
         report.timings["pfaffian"] = time.perf_counter() - t0
-        report.failure = None
-        report.recompute_passed()
         return report
     report.failure = f"genericity failure after {MAX_RESEEDS + 1} attempts: {last_error}"
-    report.passed = False
     return report
 
 
@@ -301,23 +300,7 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
     report = VerificationReport(parameters=params)
     t0 = time.perf_counter()
 
-    if base == "ex-11":
-        pair = embed_pair(_twisted_cubic_matrix(ring), 4, rng)
-        count, _ = intersect_count(pair.m_small, pair.m_big)
-        report.observed_degree = count
-        report.expected_degree = 11
-    elif base == "ex-26":
-        pair = build_uniform_pair(5, 2, 1, rng, ring=ring)
-        count, _ = intersect_count(pair.m_small, pair.m_big)
-        report.observed_degree = count
-        report.expected_degree = 26
-    elif base == "ex-2d3":
-        params["d"] = d
-        pair = build_uniform_pair(2, 1, d, rng, ring=ring)
-        count, _ = intersect_count(pair.m_small, pair.m_big)
-        report.observed_degree = count
-        report.expected_degree = 2 * d**3
-    else:  # ex-mixed
+    if base == "ex-mixed":
         m_d = _mixed_degree_matrix(ring, rng)
         d_gens = maximal_minors(m_d)
         ci_a = [m_d.entry(0, 0), m_d.entry(1, 0)]
@@ -329,9 +312,18 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
             "caseA": {"observed": count_a, "expected": 17},
             "caseB": {"observed": count_b, "expected": 33},
         }
+    else:
+        if base == "ex-11":
+            pair, expected = embed_pair(_twisted_cubic_matrix(ring), 4, rng), 11
+        elif base == "ex-26":
+            pair, expected = build_uniform_pair(5, 2, 1, rng, ring=ring), 26
+        else:  # ex-2d3
+            params["d"] = d
+            pair, expected = build_uniform_pair(2, 1, d, rng, ring=ring), 2 * d**3
+        report.observed_degree, _ = intersect_count(pair.m_small, pair.m_big)
+        report.expected_degree = expected
 
     report.timings["total"] = time.perf_counter() - t0
-    report.recompute_passed()
     return report
 
 

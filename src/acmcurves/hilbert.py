@@ -52,24 +52,40 @@ class IdealPresentation:
 
 @dataclass(frozen=True)
 class HilbertProfile:
-    """Hilbert-function values of R/I for d = 0..cutoff, plus stabilization data.
+    """Hilbert-function values of R/I for d = 0..cutoff, and the certificate
+    (m, v) from hilbert_function that proves H(d) = H(m) for every d >= m,
+    or None.
 
-    The stabilization fields are set only under a certificate (m, v) from
-    hilbert_function: H(d) = H(m) for every d >= m. stabilized_value is H(m),
-    the scheme length when R/I is one-dimensional; stabilized_at is the first
-    degree of the final flat run of values.
+    Everything else is read off those: cutoff is the last degree of values;
+    under a certificate, stabilized_value is H(m), the scheme length when R/I
+    is one-dimensional, and stabilized_at the first degree of the flat run of
+    values through m, the final one.
     """
 
     values: tuple[int, ...]
-    cutoff: int
     nvars: int
-    stabilized_value: int | None = None
-    stabilized_at: int | None = None
     certificate: tuple[int, int] | None = None
 
     @property
+    def cutoff(self) -> int:
+        return len(self.values) - 1
+
+    @property
     def stabilized(self) -> bool:
-        return self.stabilized_value is not None
+        return self.certificate is not None
+
+    @property
+    def stabilized_value(self) -> int | None:
+        return None if self.certificate is None else self.values[self.certificate[0]]
+
+    @property
+    def stabilized_at(self) -> int | None:
+        if self.certificate is None:
+            return None
+        start = self.certificate[0]
+        while start and self.values[start - 1] == self.values[start]:
+            start -= 1
+        return start
 
 
 def macaulay_matrix(ideal: IdealPresentation, d: int) -> np.ndarray:
@@ -136,8 +152,9 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
         if m >= low and values[m - 1] == values[m] == values[d]:
             v = _regularity_witness(ideal, m)
             if v is not None:
-                return _certified(values[:d], cutoff, ring.nvars, (m, v))
-    return HilbertProfile(values=tuple(values), cutoff=cutoff, nvars=ring.nvars)
+                values[d:] = [values[m]] * (cutoff - m)
+                return HilbertProfile(tuple(values), ring.nvars, (m, v))
+    return HilbertProfile(tuple(values), ring.nvars)
 
 
 def _lift(ideal: IdealPresentation, e: int, psi: np.ndarray) -> np.ndarray:
@@ -204,19 +221,6 @@ def _lift_order(ring: PolyRing, d: int) -> np.ndarray:
     return np.argsort(np.argsort(ring.exps(d)[:, -1], kind="stable"))
 
 
-def _certified(values: list[int], cutoff: int, nvars: int,
-               certificate: tuple[int, int]) -> HilbertProfile:
-    """The profile from H(0..m) and a certificate (m, v): H(d) = H(m) from
-    d = m - 1 on, filled in up to the cutoff."""
-    m = certificate[0]
-    start = m - 1
-    while start and values[start - 1] == values[m]:
-        start -= 1
-    return HilbertProfile(values=tuple(values) + (values[m],) * (cutoff - m), cutoff=cutoff,
-                          nvars=nvars, stabilized_value=values[m], stabilized_at=start,
-                          certificate=certificate)
-
-
 def _restrict(ideal: IdealPresentation, v: int) -> IdealPresentation:
     """The image of I in R/(x_v), a ring in the other n - 1 variables. Setting
     x_v = 0 keeps the coefficients of the monomials free of x_v: in
@@ -251,9 +255,10 @@ def h_vector_from_profile(profile: HilbertProfile, codimension: int) -> tuple[in
     backed by it. A certificate proves H eventually constant, so it fixes the
     codimension: nvars - 1 when the constant is positive, nvars when it is 0;
     any other codimension is refused with ValueError naming that one. The
-    differenced sequence must end in at least two zeros. Negative entries
-    mean the input is not arithmetically Cohen-Macaulay at this cutoff (or
-    the presentation is not saturated) and are reported as an error.
+    differenced sequence then ends in at least two zeros, as H is constant
+    from m - 1 to the cutoff >= m + 1. Negative entries mean the input is
+    not arithmetically Cohen-Macaulay at this cutoff (or the presentation is
+    not saturated) and are reported as an error.
     """
     ndiff = profile.nvars - codimension
     if ndiff < 0:
@@ -269,8 +274,6 @@ def h_vector_from_profile(profile: HilbertProfile, codimension: int) -> tuple[in
     seq = list(profile.values)
     for _ in range(ndiff):
         seq = [seq[i] - (seq[i - 1] if i else 0) for i in range(len(seq))]
-    if len(seq) < 2 or seq[-1] != 0 or seq[-2] != 0:
-        raise ValueError("profile cutoff too small: differences did not reach a flat zero tail")
     neg = [i for i, v in enumerate(seq) if v < 0]
     if neg:
         raise ValueError(f"negative difference at degree {neg[0]}: not ACM at this cutoff")

@@ -3,8 +3,9 @@
 A form is a list of [coefficient, [e0, ..., en]] pairs, sorted by exponent
 vector so that equal objects serialize to identical bytes. Matrix and ideal
 documents carry the modulus and variable count in their header. The
-decoders turn a document of the wrong shape (a list for an object, a short
-degree list, a term without its exponent vector) into a ValueError.
+decoders turn a document of the wrong shape (a list for an object, a degree
+list or a rows/cols header that does not match the body, a term without its
+exponent vector) into a ValueError.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 
 from .harness import VerificationReport
 from .hilbert import HilbertProfile, IdealPresentation
-from .matforms import FormMatrix, SkewFormMatrix
+from .matforms import FormMatrix
 from .ring import Form, PolyRing
 
 
@@ -25,19 +26,13 @@ def form_from_pairs(ring: PolyRing, degree: int, pairs) -> Form:
     return ring.form(degree, [(tuple(e), int(c)) for c, e in pairs])
 
 
-def matrix_to_doc(m: FormMatrix | SkewFormMatrix) -> dict:
-    if isinstance(m, SkewFormMatrix):
-        rows = cols = m.size
-        degree_matrix = [[e.degree for e in row] for row in m.entries]
-    else:
-        rows, cols = m.rows, m.cols
-        degree_matrix = [list(r) for r in m.degree_matrix]
+def matrix_to_doc(m: FormMatrix) -> dict:
     return {
         "p": m.ring.p,
         "nvars": m.ring.nvars,
-        "rows": rows,
-        "cols": cols,
-        "degreeMatrix": degree_matrix,
+        "rows": m.rows,
+        "cols": m.cols,
+        "degreeMatrix": [list(r) for r in m.degree_matrix],
         "entries": [[form_to_pairs(e) for e in row] for row in m.entries],
     }
 
@@ -62,9 +57,14 @@ def matrix_from_doc(doc: dict) -> FormMatrix:
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
     try:
-        return FormMatrix(ring, entries, dm)
+        m = FormMatrix(ring, entries, dm)
     except ValueError as exc:  # ragged rows, a degree slot or shape that does not fit
         raise ValueError(f"malformed matrix document: {exc}") from exc
+    header = doc.get("rows", m.rows), doc.get("cols", m.cols)
+    if header != (m.rows, m.cols):
+        raise ValueError(f"malformed matrix document: the header says {header[0]} x {header[1]}, "
+                         f"the entries are {m.rows} x {m.cols}")
+    return m
 
 
 def ideal_to_doc(ideal: IdealPresentation) -> dict:
@@ -83,6 +83,9 @@ def ideal_from_doc(doc: dict) -> IdealPresentation:
         ring = PolyRing(int(doc["p"]), int(doc["nvars"]))
         gens = []
         degrees = doc.get("degrees")
+        if degrees is not None and len(degrees) != len(doc["generators"]):
+            raise ValueError(f"malformed ideal document: {len(degrees)} degrees for "
+                             f"{len(doc['generators'])} generators")
         for k, pairs in enumerate(doc["generators"]):
             if not pairs:
                 raise ValueError("ideal documents may not contain zero generators")

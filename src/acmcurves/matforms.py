@@ -82,11 +82,15 @@ class FormMatrix:
                 and self.degree_matrix == other.degree_matrix)
 
     def __repr__(self) -> str:
-        return f"FormMatrix({self.rows}x{self.cols} over {self.ring!r})"
+        return f"{type(self).__name__}({self.rows}x{self.cols} over {self.ring!r})"
 
 
-class SkewFormMatrix:
-    """Square skew-symmetric matrix of forms: zero diagonal, entry(j,i) = -entry(i,j)."""
+class SkewFormMatrix(FormMatrix):
+    """Square skew-symmetric matrix of forms: zero diagonal, entry(j,i) = -entry(i,j).
+
+    A FormMatrix whose degree slots are its entries' own degrees. Unlike a
+    FormMatrix it may be 0 x 0, the matrix whose Pfaffian is 1.
+    """
 
     def __init__(self, ring: PolyRing, entries: Sequence[Sequence[Form]]):
         size = len(entries)
@@ -98,9 +102,14 @@ class SkewFormMatrix:
             for j in range(i + 1, size):
                 if entries[j][i] != -entries[i][j]:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) are not skew")
-        self.ring = ring
-        self.size = size
-        self.entries = tuple(tuple(row) for row in entries)
+        if size:
+            super().__init__(ring, entries)
+        else:  # FormMatrix refuses an empty matrix
+            self.ring, self.rows, self.cols, self.entries, self.degree_matrix = ring, 0, 0, (), ()
+
+    @property
+    def size(self) -> int:
+        return self.rows
 
     @classmethod
     def from_upper(cls, ring: PolyRing, size: int, upper: dict) -> SkewFormMatrix:
@@ -113,9 +122,6 @@ class SkewFormMatrix:
             grid[i][j] = f
             grid[j][i] = -f
         return cls(ring, grid)
-
-    def entry(self, i: int, j: int) -> Form:
-        return self.entries[i][j]
 
     def with_entry(self, i: int, j: int, f: Form) -> SkewFormMatrix:
         """Copy with the (i, j) upper entry replaced (and (j, i) kept skew)."""

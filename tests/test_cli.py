@@ -154,6 +154,22 @@ class TestIntersect:
         assert code == 3
         assert json.loads(out)["profile"]["certificate"] is None
         assert "not certified by degree 8: shared component or cutoff too small" in err
+        # recorded before the profile derived its stabilization fields: the
+        # uncertified profile prints null stabilizedAt and stabilizedValue
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "cd69348d5c45ec7e40db58d141568c42c747667c8b715f5d404b2ea29e3eed80")
+
+    @pytest.mark.parametrize("header", [{"rows": 5, "cols": 1}, {"rows": 3}, {"cols": 2}])
+    def test_header_contradicting_the_entries_exit_2(self, capsys, tmp_path, header):
+        # mSmall of construct --t 3 --r 1 is 2 x 3; the pair meets in length 8
+        run_cli(capsys, "construct", "--t", "3", "--r", "1", "--out-dir", str(tmp_path))
+        small = tmp_path / "mSmall.json"
+        small.write_text(json.dumps({**json.loads(small.read_text()), **header}))
+        code, out, err = run_cli(capsys, "intersect", "--a", str(small),
+                                 "--b", str(tmp_path / "mBig.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed matrix document")
 
 
 class TestHilbertInput:
@@ -177,6 +193,9 @@ class TestHilbertInput:
                       "generators": [[[1, [1, 0, 0, 0]]], [[1, [0, 1, 0, 0]]]]},
                      id="short-degrees"),
         pytest.param({"p": 32003, "nvars": 4, "generators": [[[1]]]}, id="term-without-exponents"),
+        pytest.param({"p": 32003, "nvars": 4, "degrees": [1, 1, 2, 3],
+                      "generators": [[[1, [1, 0, 0, 0]]], [[1, [0, 1, 0, 0]]]]},
+                     id="extra-degrees"),
     ])
     def test_malformed_document_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "ideal.json"
@@ -389,6 +408,26 @@ GOLDEN_STDOUT = [
 def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout and the exit code, recorded before the report derived its
+# verdict from the recorded checks; ex-mixed exits 1 on case A (observed 27,
+# pinned 17).
+GOLDEN_SCENARIO = [
+    pytest.param("ex-11", 0, "0ceaf0c45fc4d7b4c052e5fbc62b202c84c1b566d7665118d5ad21d0de59fa5f",
+                 id="ex-11"),
+    pytest.param("ex-26", 0, "ffa2891c016b754bf8c50b36b9beb054be6005f1220070593c76c2a38af3cd1a",
+                 id="ex-26"),
+    pytest.param("ex-mixed", 1, "bf676592a5de5636e129f30cf8c76d8009d749042eb24eb8387ce3f2f543e49b",
+                 id="ex-mixed"),
+]
+
+
+@pytest.mark.parametrize("scenario,exit_code,digest", GOLDEN_SCENARIO)
+def test_golden_scenario_stdout(capsys, scenario, exit_code, digest):
+    code, out, _ = run_cli(capsys, "scenario", "--id", scenario)
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

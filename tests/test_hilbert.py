@@ -8,7 +8,7 @@ import pytest
 from acmcurves import hilbert
 from acmcurves.construct import build_linear_pair, build_uniform_pair, gorenstein_generators
 from acmcurves.formulas import bound_linear, h_vector_gorenstein
-from acmcurves.hilbert import (IdealPresentation, graded_piece_spans_equal,
+from acmcurves.hilbert import (HilbertProfile, IdealPresentation, graded_piece_spans_equal,
                                h_vector_from_profile, hilbert_function,
                                ideal_piece_dim, macaulay_matrix,
                                minimal_generator_degrees)
@@ -169,6 +169,16 @@ class TestCertificate:
         assert prof.stabilized_value == 1
         assert prof.certificate == (6, 3)
         assert prof.stabilized_at == 5
+
+    def test_profile_derives_its_stabilization(self):
+        # a plateau at 2 followed by a drop to 1: only the final flat run counts
+        values = (1, 2, 2, 2, 1, 1, 1)
+        prof = HilbertProfile(values, 4, (5, 3))
+        assert prof.cutoff == 6 and prof.stabilized
+        assert prof.stabilized_value == 1 and prof.stabilized_at == 4
+        bare = HilbertProfile(values, 4, None)
+        assert bare.cutoff == 6 and not bare.stabilized
+        assert bare.stabilized_value is None and bare.stabilized_at is None
 
     def test_non_saturated_presentation_ranks_only_the_witness(self, ring, monkeypatch):
         # x3 = 0 leaves (x0, x1, x2^2), but x2 * x3^4 is x3-torsion in degree

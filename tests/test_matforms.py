@@ -254,6 +254,13 @@ class TestSkewAndPfaffian:
         with pytest.raises(ValueError):
             SkewFormMatrix(ring, [[ring.zero(), x0], [x0, ring.zero()]])
 
+    def test_skew_matrix_is_a_form_matrix(self, ring):
+        g = graded_skew(ring, [0, 1, 0, 2], 1, random.Random(3), zeros=0.3)
+        assert isinstance(g, FormMatrix) and g.rows == g.cols == g.size == 4
+        assert g.degree_matrix == tuple(tuple(e.degree for e in row) for row in g.entries)
+        empty = SkewFormMatrix(ring, [])
+        assert empty.size == 0 and pfaffian(empty) == ring.one()
+
     def test_pfaffian_2x2_convention(self, ring):
         a = random_form(1, ring, random.Random(5))
         g = SkewFormMatrix.from_upper(ring, 2, {(0, 1): a})
