@@ -18,6 +18,14 @@ from .matforms import FormMatrix
 from .ring import Form, PolyRing
 
 
+def _int(value, kind: str) -> int:
+    """int(value); a value int() refuses is a malformed document of that kind."""
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from exc
+
+
 def form_to_pairs(f: Form) -> list:
     return [[c, list(m)] for m, c in sorted(f.terms.items())]
 
@@ -39,7 +47,7 @@ def matrix_to_doc(m: FormMatrix) -> dict:
 
 def matrix_from_doc(doc: dict) -> FormMatrix:
     try:
-        ring = PolyRing(int(doc["p"]), int(doc["nvars"]))
+        ring = PolyRing(_int(doc["p"], "matrix"), _int(doc["nvars"], "matrix"))
         deg = doc.get("degreeMatrix")
         entries = []
         for i, row in enumerate(doc["entries"]):
@@ -48,12 +56,12 @@ def matrix_from_doc(doc: dict) -> FormMatrix:
                 if pairs:
                     degree = sum(pairs[0][1])
                 elif deg is not None:
-                    degree = int(deg[i][j])
+                    degree = _int(deg[i][j], "matrix")
                 else:
                     degree = 0
                 out_row.append(form_from_pairs(ring, degree, pairs))
             entries.append(out_row)
-        dm = [[int(v) for v in row] for row in deg] if deg is not None else None
+        dm = [[_int(v, "matrix") for v in row] for row in deg] if deg is not None else None
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
     try:
@@ -80,7 +88,7 @@ def ideal_from_doc(doc: dict) -> IdealPresentation:
     try:
         if isinstance(doc.get("generators"), dict):
             doc = doc["generators"]
-        ring = PolyRing(int(doc["p"]), int(doc["nvars"]))
+        ring = PolyRing(_int(doc["p"], "ideal"), _int(doc["nvars"], "ideal"))
         gens = []
         degrees = doc.get("degrees")
         if degrees is not None and len(degrees) != len(doc["generators"]):
@@ -89,7 +97,7 @@ def ideal_from_doc(doc: dict) -> IdealPresentation:
         for k, pairs in enumerate(doc["generators"]):
             if not pairs:
                 raise ValueError("ideal documents may not contain zero generators")
-            degree = int(degrees[k]) if degrees is not None else sum(pairs[0][1])
+            degree = _int(degrees[k], "ideal") if degrees is not None else sum(pairs[0][1])
             gens.append(form_from_pairs(ring, degree, pairs))
         return IdealPresentation(ring=ring, generators=tuple(gens))
     except (KeyError, TypeError, IndexError, AttributeError) as exc:

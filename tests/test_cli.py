@@ -159,7 +159,8 @@ class TestIntersect:
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "cd69348d5c45ec7e40db58d141568c42c747667c8b715f5d404b2ea29e3eed80")
 
-    @pytest.mark.parametrize("header", [{"rows": 5, "cols": 1}, {"rows": 3}, {"cols": 2}])
+    @pytest.mark.parametrize("header", [{"rows": 5, "cols": 1}, {"rows": 3}, {"cols": 2},
+                                        {"degreeMatrix": [["z", 1, 1], [1, 1, 1]]}])
     def test_header_contradicting_the_entries_exit_2(self, capsys, tmp_path, header):
         # mSmall of construct --t 3 --r 1 is 2 x 3; the pair meets in length 8
         run_cli(capsys, "construct", "--t", "3", "--r", "1", "--out-dir", str(tmp_path))
@@ -196,6 +197,10 @@ class TestHilbertInput:
         pytest.param({"p": 32003, "nvars": 4, "degrees": [1, 1, 2, 3],
                       "generators": [[[1, [1, 0, 0, 0]]], [[1, [0, 1, 0, 0]]]]},
                      id="extra-degrees"),
+        pytest.param({"p": 32003, "nvars": 4, "degrees": ["a"],
+                      "generators": [[[1, [1, 0, 0, 0]]]]}, id="non-numeric-degree"),
+        pytest.param({"p": "x", "nvars": 4, "generators": [[[1, [1, 0, 0, 0]]]]},
+                     id="non-numeric-modulus"),
     ])
     def test_malformed_document_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "ideal.json"

@@ -159,8 +159,9 @@ class TestMaximalMinors:
             assert got[dropped] == expect
 
 
-def test_tables_make_no_form_products(ring, monkeypatch):
-    pair = build_uniform_pair(4, 2, 1, random.Random(16), ring=ring)
+@pytest.mark.parametrize("p", PRIMES)
+def test_tables_make_no_form_products(p, monkeypatch):
+    pair = build_uniform_pair(4, 2, 1, random.Random(16), ring=PolyRing(p))
     g = skew_matrix_G(pair)
     expect = maximal_minors(pair.m_big), principal_pfaffians(g)
 
@@ -170,6 +171,45 @@ def test_tables_make_no_form_products(ring, monkeypatch):
     monkeypatch.setattr(Form, "__mul__", refuse)
     monkeypatch.setattr(Form, "__rmul__", refuse)
     assert (maximal_minors(pair.m_big), principal_pfaffians(g)) == expect
+
+
+def rank_one_rows(ring, rows, cols, rng):
+    """c_i * v_j: nonzero constants c_i times linear forms v_j."""
+    c = [rng.randrange(1, ring.p) for _ in range(rows)]
+    v = [random_form(1, ring, rng) for _ in range(cols)]
+    return [[v[j].scale(c[i]) for j in range(cols)] for i in range(rows)]
+
+
+def rank_two_skew(ring, size, rng):
+    """S_ij = u_i * v_j - u_j * v_i: nonzero constants u_i, linear forms v_j."""
+    u = [rng.randrange(1, ring.p) for _ in range(size)]
+    v = [random_form(1, ring, rng) for _ in range(size)]
+    return SkewFormMatrix.from_upper(ring, size, {
+        (i, j): v[j].scale(u[i]) - v[i].scale(u[j]) for i in range(size) for j in range(i + 1, size)})
+
+
+class TestCancellingTables:
+    """Subsets whose terms all cancel stay in their level as zero forms of
+    their degree, and later levels build on them."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rank_two_principal_pfaffians_are_cubic_zeros(self, p):
+        pfs = principal_pfaffians(rank_two_skew(PolyRing(p), 7, random.Random(17)))
+        assert len(pfs) == 7
+        assert all(f.is_zero and f.degree == 3 for f in pfs)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rank_two_pfaffian_is_a_cubic_zero(self, p):
+        pf = pfaffian(rank_two_skew(PolyRing(p), 6, random.Random(18)))
+        assert pf.is_zero and pf.degree == 3
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_rank_one_maximal_minors_keep_their_degree(self, p, t):
+        ring = PolyRing(p)
+        mm = maximal_minors(FormMatrix(ring, rank_one_rows(ring, t, t + 1, random.Random(t))))
+        assert len(mm) == t + 1
+        assert all(f.is_zero and f.degree == t for f in mm)
 
 
 class TestDeterminant:
