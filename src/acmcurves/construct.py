@@ -119,8 +119,6 @@ def union_matrix(pair: ConstructionPair) -> FormMatrix:
     the free block.
     """
     t, r, d = pair.t, pair.r, pair.d
-    if r < 1:
-        raise ValueError("r = 0 is degenerate: the union is M_big itself")
     ring = pair.m_big.ring
     tr = t - r
     # F_i expands along its free column: the cofactors are the maximal
@@ -159,6 +157,8 @@ def skew_matrix_G(pair: ConstructionPair) -> SkewFormMatrix:
     the (r+1) x (r+1) matrices built from rows i, j and the bottom r-1 rows
     of the free block; the upper-right block repeats the embedded transpose
     of M_small; the lower-right (t-r) block is identically zero.
+    Principal Pfaffian i is +-generator i: an upper deletion gives +-det of the embedded
+    transpose minus row i, a lower one generalized Laplace along M_big's embedded columns.
     """
     t, r, d = pair.t, pair.r, pair.d
     ring = pair.m_big.ring

@@ -5,7 +5,7 @@ vector so that equal objects serialize to identical bytes. Matrix and ideal
 documents carry the modulus and variable count in their header. The
 decoders turn a document of the wrong shape (a list for an object, a degree
 list or a rows/cols header that does not match the body, a term without its
-exponent vector) into a ValueError.
+exponent vector, a number with a fractional part) into a ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from .ring import Form, PolyRing
 
 
 def _int(value, kind: str) -> int:
-    """int(value); a value int() refuses is a malformed document of that kind."""
+    """int(value); a value int() refuses, or a number with a fractional part,
+    is a malformed document of that kind."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"malformed {kind} document: {value!r} is not an integer")
     try:
         return int(value)
     except ValueError as exc:
@@ -30,8 +33,8 @@ def form_to_pairs(f: Form) -> list:
     return [[c, list(m)] for m, c in sorted(f.terms.items())]
 
 
-def form_from_pairs(ring: PolyRing, degree: int, pairs) -> Form:
-    return ring.form(degree, [(tuple(e), int(c)) for c, e in pairs])
+def form_from_pairs(ring: PolyRing, degree: int, pairs, kind: str = "form") -> Form:
+    return ring.form(degree, [(tuple(_int(v, kind) for v in e), _int(c, kind)) for c, e in pairs])
 
 
 def matrix_to_doc(m: FormMatrix) -> dict:
@@ -59,7 +62,7 @@ def matrix_from_doc(doc: dict) -> FormMatrix:
                     degree = _int(deg[i][j], "matrix")
                 else:
                     degree = 0
-                out_row.append(form_from_pairs(ring, degree, pairs))
+                out_row.append(form_from_pairs(ring, degree, pairs, "matrix"))
             entries.append(out_row)
         dm = [[_int(v, "matrix") for v in row] for row in deg] if deg is not None else None
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
@@ -98,7 +101,7 @@ def ideal_from_doc(doc: dict) -> IdealPresentation:
             if not pairs:
                 raise ValueError("ideal documents may not contain zero generators")
             degree = _int(degrees[k], "ideal") if degrees is not None else sum(pairs[0][1])
-            gens.append(form_from_pairs(ring, degree, pairs))
+            gens.append(form_from_pairs(ring, degree, pairs, "ideal"))
         return IdealPresentation(ring=ring, generators=tuple(gens))
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed ideal document: {exc}") from exc

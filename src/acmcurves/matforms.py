@@ -161,7 +161,7 @@ def determinant(m: FormMatrix) -> Form:
 def minor(m: FormMatrix, rowset: Sequence[int], colset: Sequence[int]) -> Form:
     """Determinant of the selected square submatrix, rows/columns sorted."""
     rs, cs = sorted(set(rowset)), sorted(set(colset))
-    if len(rs) != len(set(rowset)) or len(cs) != len(set(colset)):
+    if len(rs) != len(rowset) or len(cs) != len(colset):
         raise ValueError("repeated index in selection")
     if len(rs) != len(cs):
         raise ValueError("minor needs equally many rows and columns")

@@ -36,10 +36,10 @@ Monomial = tuple  # exponent vector, one non-negative entry per variable
 MAX_FORM_DIM = 100_000
 
 # Most entries one dense array of coefficients may hold, 80 MB as float64:
-# a dual basis Psi_e of the Hilbert lift, or a level of a subset table of
-# matforms. The degree-10 surface at its default cutoff 24 needs
-# 2925 x 2365, verify (4,1,3) 2600 x 840, and the Pfaffians of
-# verify --t 15 --r 1 a level of 9.87M.
+# a dual basis Psi_e of the Hilbert lift, a level of a subset table of
+# matforms, or the matrix of a form product (Form.mul_matrix). The degree-10
+# surface at its default cutoff 24 needs 2925 x 2365, verify (4,1,3)
+# 2600 x 840, and the Pfaffians of verify --t 15 --r 1 a level of 9.87M.
 MAX_ARRAY_ENTRIES = 100 * MAX_FORM_DIM
 
 
@@ -301,9 +301,14 @@ class Form:
     def mul_matrix(self, b: int) -> np.ndarray:
         """The matrix of multiplication by this form from R_b to R_{b + degree},
         float64 of shape (dim R_b, dim R_{b + degree}): row i is the form
-        times basis monomial i of degree b, placed by mul_index."""
+        times basis monomial i of degree b, placed by mul_index. ValueError,
+        before it is allocated, above MAX_ARRAY_ENTRIES entries."""
         ring = self.ring
-        out = np.zeros((ring.dim(b), ring.dim(b + self.degree)))
+        rows, cols = ring.dim(b), ring.dim(b + self.degree)
+        if rows * cols > MAX_ARRAY_ENTRIES:
+            raise ValueError(f"product of degrees {self.degree} and {b} too large: its matrix would "
+                             f"be {rows} x {cols} (the limit is {MAX_ARRAY_ENTRIES} entries)")
+        out = np.zeros((rows, cols))
         out[np.arange(len(out))[:, None], ring.mul_index(b, self.degree)] = self.coeffs
         return out
 

@@ -159,6 +159,17 @@ class TestIntersect:
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "cd69348d5c45ec7e40db58d141568c42c747667c8b715f5d404b2ea29e3eed80")
 
+    def test_fractional_coefficient_exit_2(self, capsys, tmp_path):
+        # truncated by int(), 1.5*x0 would be read as x0: a wrong answer, not exit 2
+        args = self._write_pair(tmp_path, 2)
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["entries"][0][0][0][0] = 1.5
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "intersect", *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed matrix document: 1.5 is not an integer")
+
     @pytest.mark.parametrize("header", [{"rows": 5, "cols": 1}, {"rows": 3}, {"cols": 2},
                                         {"degreeMatrix": [["z", 1, 1], [1, 1, 1]]}])
     def test_header_contradicting_the_entries_exit_2(self, capsys, tmp_path, header):
@@ -201,6 +212,14 @@ class TestHilbertInput:
                       "generators": [[[1, [1, 0, 0, 0]]]]}, id="non-numeric-degree"),
         pytest.param({"p": "x", "nvars": 4, "generators": [[[1, [1, 0, 0, 0]]]]},
                      id="non-numeric-modulus"),
+        pytest.param({"p": 32003, "nvars": 4, "generators": [[["x", [1, 0, 0, 0]]]]},
+                     id="non-numeric-coefficient"),
+        pytest.param({"p": 32003, "nvars": 4, "generators": [[[1.5, [1, 0, 0, 0]]]]},
+                     id="fractional-coefficient"),
+        pytest.param({"p": 32003.5, "nvars": 4, "generators": [[[1, [1, 0, 0, 0]]]]},
+                     id="fractional-modulus"),
+        pytest.param({"p": 32003, "nvars": 4, "degrees": [2.5],
+                      "generators": [[[1, [1, 0, 0, 0]]]]}, id="fractional-degree"),
     ])
     def test_malformed_document_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "ideal.json"
@@ -302,11 +321,10 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["parameters"]["p"] == 65537
 
-    def test_huge_t_exits_2_before_the_subset_tables_grow(self):
-        # level 5 of the maximal-minor table of t = 40 would hold 36.8M
-        # coefficients, above MAX_ARRAY_ENTRIES; it is refused before it is
-        # allocated. The child's address space is capped, so a table that
-        # grows instead fails this test rather than the host.
+    @staticmethod
+    def _verify_capped(*argv):
+        """verify in a child whose address space is capped at 2 GiB, so an
+        array that grows instead of being refused fails the test, not the host."""
         def cap_memory():
             limit = 2 * 1024**3
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -314,12 +332,28 @@ class TestVerify:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join([str(Path(acmcurves.__file__).parents[1]),
                                               os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-m", "acmcurves.cli", "verify", *argv],
+                              env=env, preexec_fn=cap_memory, capture_output=True,
+                              text=True, timeout=60)
+
+    def test_huge_t_exits_2_before_the_subset_tables_grow(self):
+        # level 5 of the maximal-minor table of t = 40 would hold 36.8M
+        # coefficients, above MAX_ARRAY_ENTRIES; it is refused before it is
+        # allocated
         started = time.monotonic()
-        proc = subprocess.run([sys.executable, "-m", "acmcurves.cli", "verify", "--t", "40",
-                               "--r", "1"], env=env, preexec_fn=cap_memory,
-                              capture_output=True, text=True, timeout=60)
+        proc = self._verify_capped("--t", "40", "--r", "1")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: subset table level 5 too large")
+        assert time.monotonic() - started < 20
+
+    def test_huge_d_exits_2_before_a_product_matrix_grows(self):
+        # the minors of degree-30 entries would multiply by a 5456 x 39711
+        # matrix, above MAX_ARRAY_ENTRIES; Form.mul_matrix refuses it
+        started = time.monotonic()
+        proc = self._verify_capped("--t", "2", "--r", "1", "--d", "30")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: product of degrees 30 and 30 too large: "
+                                      "its matrix would be 5456 x 39711")
         assert time.monotonic() - started < 20
 
 

@@ -6,7 +6,7 @@ from acmcurves.construct import (ConstructionPair, DegenerateSample, build_linea
                                  build_uniform_pair, embed_pair, gorenstein_generators,
                                  skew_matrix_G, union_matrix)
 from acmcurves.matforms import FormMatrix
-from acmcurves.ring import PolyRing
+from acmcurves.ring import PolyRing, random_form
 from test_matforms import naive_det
 
 GRID = [(t, r) for t in range(2, 7) for r in range(1, t)]
@@ -70,6 +70,35 @@ class TestLayout:
     def test_parameter_validation(self, t, r, d):
         with pytest.raises(ValueError):
             build_uniform_pair(t, r, d, random.Random(0))
+
+    @pytest.mark.parametrize("case,match", [
+        ("small-shape", "M_small has the wrong shape"),
+        ("big-shape", "M_big has the wrong shape"),
+        ("zero-block", "zero block violated at \\(3,0\\)"),
+    ])
+    def test_pair_refusals(self, case, match):
+        pair = build_linear_pair(4, 2, random.Random(2))
+        small, big = pair.m_small, pair.m_big
+        if case == "small-shape":
+            small = pair.m_small.transpose()
+        elif case == "big-shape":
+            big = FormMatrix(big.ring, big.entries[:3], big.degree_matrix[:3])
+        else:
+            ent = [list(row) for row in big.entries]
+            ent[3][3] = ent[3][0]
+            big = FormMatrix(big.ring, ent, big.degree_matrix)
+        with pytest.raises(ValueError, match=match):
+            ConstructionPair(t=4, r=2, d=1, m_small=small, m_big=big)
+
+    @pytest.mark.parametrize("degrees,match", [
+        ([[1, 1]] * 2, "shape \\(t-r\\) x \\(t-r\\+1\\)"),
+        ([[1, 2]], "share one degree"),
+    ])
+    def test_embed_refusals(self, ring, degrees, match):
+        rng = random.Random(3)
+        small = FormMatrix(ring, [[random_form(k, ring, rng) for k in row] for row in degrees])
+        with pytest.raises(ValueError, match=match):
+            embed_pair(small, 3, rng)
 
     def test_determinism(self):
         a = build_uniform_pair(4, 2, 1, random.Random(77))
@@ -184,6 +213,20 @@ class TestSkewMatrix:
         g = skew_matrix_G(pair)
         assert g.entry(0, 1).degree == (pair.r + 1) * 2
         assert g.entry(0, g.size - 1).degree == 2
+
+    @pytest.mark.parametrize("p", [32003, 2147483629, 11])
+    @pytest.mark.parametrize("t,r,d", [(t, r, d) for t in range(2, 8) for r in range(1, t)
+                                       for d in ((1, 2) if t <= 3 else (1,))])
+    def test_principal_pfaffians_are_the_generators_up_to_sign(self, t, r, d, p):
+        # the form identity the harness's Pfaffian check rests on
+        from acmcurves.matforms import principal_pfaffians
+        pair = build_uniform_pair(t, r, d, random.Random(100 * t + 10 * r + d),
+                                  ring=PolyRing(p, 4))
+        gens = gorenstein_generators(pair).generators
+        pfs = principal_pfaffians(skew_matrix_G(pair))
+        assert len(pfs) == len(gens) == 2 * t - 2 * r + 1
+        for f, g in zip(pfs, gens):
+            assert f == g or f == -g
 
     def test_4_2_principal_pfaffian_degrees(self):
         from acmcurves.matforms import principal_pfaffians

@@ -130,6 +130,20 @@ class TestBettiShape:
             BettiShape(codimension=2, terms=((3, 2, 1),))
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: deg_acm(0), "need t >= 1 and d >= 1"),
+    (lambda: deg_acm(2, 0), "need t >= 1 and d >= 1"),
+    (lambda: h_vector_gorenstein(3, 0), "r = 0 has no intersection construction"),
+    (lambda: expected_betti(3, 0), "r = 0 has no intersection construction"),
+    (lambda: expected_betti(3, 1, 0), "need d >= 1"),
+    (lambda: BettiShape(codimension=1, terms=((1, 2, 0),)), "ranks must be positive"),
+    (lambda: BettiShape(codimension=1, terms=((1, 2, -1),)), "ranks must be positive"),
+])
+def test_refusals(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 class TestHilbertFromResolution:
     @pytest.mark.parametrize("t", range(2, 7))
     def test_codim2_linear_curve(self, t):

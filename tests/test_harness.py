@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from acmcurves import harness, jsonio
+from acmcurves import harness, hilbert, jsonio
 from acmcurves.construct import (DegenerateSample, build_linear_pair, build_uniform_pair,
                                  embed_pair, gorenstein_generators)
 from acmcurves.harness import (SCENARIO_SEEDS, conjecture_evidence, intersect_count,
@@ -150,6 +150,16 @@ class TestPfaffianSpan:
         rng = random.Random(23)
         assert all(not perturbed_pfaffian_span_check(pair, rng) for _ in range(5))
 
+    def test_check_takes_no_macaulay_rank(self, monkeypatch):
+        # the check compares forms: no Macaulay matrix is built, none is ranked
+        def refuse(*args):
+            raise AssertionError("the Pfaffian check took a Macaulay rank")
+        for name in ("macaulay_matrix", "echelon_basis", "rank_modp"):
+            monkeypatch.setattr(hilbert, name, refuse)
+        pair = build_linear_pair(4, 2, random.Random(25))
+        assert pfaffian_span_check(pair) is True
+        assert perturbed_pfaffian_span_check(pair, random.Random(26)) is False
+
     def test_span_equality_persists_past_generator_degrees(self):
         # agreement up to the top generator degree forces ideal equality, so
         # the pieces must also match well beyond it
@@ -183,6 +193,12 @@ class TestRationalPointOracle:
     def test_wrong_field_rejected(self, ring):
         ideal = IdealPresentation(ring=ring, generators=(ring.variable(0),))
         with pytest.raises(ValueError):
+            rational_point_oracle(ideal, 7)
+
+    def test_outside_four_variables_rejected(self):
+        ring7 = PolyRing(7, 3)
+        ideal = IdealPresentation(ring=ring7, generators=(ring7.variable(0),))
+        with pytest.raises(ValueError, match="points of P\\^3 only"):
             rational_point_oracle(ideal, 7)
 
     def test_modulus_cap(self):
@@ -220,6 +236,12 @@ class TestTensorViews:
                     assert tv.tensor[u, v, w] == coef
                     assert tv.m_u[v, w, u] == coef
                     assert tv.m_w[v, u, w] == coef
+
+    def test_outside_four_variables_rejected(self):
+        ring5 = PolyRing(32003, 5)
+        m = FormMatrix(ring5, [[ring5.variable(i) for i in range(3)] for _ in range(2)])
+        with pytest.raises(ValueError, match="over 4 variables"):
+            tensor_views(m)
 
     def test_nonlinear_entry_rejected(self, ring):
         rng = random.Random(33)

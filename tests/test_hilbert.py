@@ -592,6 +592,20 @@ class TestGradedPieceSpansEqual:
         assert not graded_piece_spans_equal(a, b, 3)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda ideal: ideal_piece_dim(ideal, -1), "degree must be non-negative"),
+    (lambda ideal: hilbert_function(ideal, -1), "cutoff must be non-negative"),
+    (lambda ideal: h_vector_from_profile(hilbert_function(ideal), 5),
+     "codimension 5 exceeds the ambient 4 variables"),
+    (lambda ideal: graded_piece_spans_equal(
+        ideal, IdealPresentation(ring=PolyRing(101), generators=()), 2), "different rings"),
+])
+def test_refusals(ring, call, match):
+    ideal = IdealPresentation(ring=ring, generators=(ring.variable(0),))
+    with pytest.raises(ValueError, match=match):
+        call(ideal)
+
+
 class TestIdealPresentation:
     def test_rejects_zero_generator(self, ring):
         with pytest.raises(ValueError):

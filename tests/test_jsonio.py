@@ -65,6 +65,28 @@ def test_ideal_doc_rejects_zero_generator(ring):
         jsonio.ideal_from_doc(doc)
 
 
+def test_matrix_doc_contradicting_its_degree_slots_refused(ring):
+    doc = jsonio.matrix_to_doc(FormMatrix(ring, [[ring.variable(0), ring.variable(1)]]))
+    doc["degreeMatrix"] = [[1, 2]]
+    with pytest.raises(ValueError, match="malformed matrix document: entry \\(0,1\\) has degree 1"):
+        jsonio.matrix_from_doc(doc)
+
+
+def test_empty_entry_without_degree_matrix_is_a_zero_of_degree_0(ring):
+    doc = jsonio.matrix_to_doc(FormMatrix(ring, [[ring.variable(0), ring.variable(1)]]))
+    del doc["degreeMatrix"]
+    doc["entries"][0][1] = []
+    m = jsonio.matrix_from_doc(doc)
+    assert m.entry(0, 1).is_zero and m.degree_matrix == ((1, 0),)
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan"), "x"])
+def test_non_integral_coefficient_refused(ring, value):
+    with pytest.raises(ValueError, match="malformed ideal document"):
+        jsonio.ideal_from_doc({"p": ring.p, "nvars": 4, "generators": [[[value, [1, 0, 0, 0]]]]})
+    assert jsonio.form_from_pairs(ring, 1, [[2.0, [1.0, 0, 0, 0]]]) == ring.variable(0) * 2
+
+
 def test_canonical_dumps_is_stable():
     doc = {"b": 1, "a": [3, 2], "c": {"y": None, "x": True}}
     assert jsonio.dumps(doc) == jsonio.dumps(json.loads(jsonio.dumps(doc)))

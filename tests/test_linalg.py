@@ -101,6 +101,11 @@ def test_zero_and_empty():
     assert rank_modp(np.zeros((0, 5), dtype=np.int64), 32003) == 0
 
 
+def test_one_dimensional_input_refused():
+    with pytest.raises(ValueError, match="expected a 2-d matrix"):
+        rank_modp(np.arange(4), 32003)
+
+
 def test_echelon_basis_spans_row_space():
     p = 32003
     rng = np.random.default_rng(8)

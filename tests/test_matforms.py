@@ -286,6 +286,30 @@ class TestDegreeMatrix:
             FormMatrix(ring, [[x0, x1], [x1, x0]], degrees)
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda ring, x: FormMatrix(ring, []), "non-empty"),
+    (lambda ring, x: FormMatrix(ring, [[]]), "non-empty"),
+    (lambda ring, x: FormMatrix(ring, [[x, x], [x]]), "ragged rows"),
+    (lambda ring, x: FormMatrix(ring, [[x, PolyRing(101).variable(0)]]), "entry ring mismatch"),
+    (lambda ring, x: SkewFormMatrix(ring, [[ring.zero(), x]]), "must be square"),
+    (lambda ring, x: SkewFormMatrix(ring, [[x]]), "diagonal entry \\(0,0\\)"),
+    (lambda ring, x: SkewFormMatrix.from_upper(ring, 2, {(1, 0): x}), "need i < j"),
+    (lambda ring, x: SkewFormMatrix.from_upper(ring, 2, {(0, 1): x}).with_entry(1, 1, x),
+     "need i < j"),
+    (lambda ring, x: minor(twisted_cubic(ring), [0, 0], [0, 1]), "repeated index"),
+    (lambda ring, x: minor(twisted_cubic(ring), [0, 0], [1, 1]), "repeated index"),
+])
+def test_refusals(ring, build, match):
+    with pytest.raises(ValueError, match=match):
+        build(ring, ring.variable(0))
+
+
+def test_empty_minor_is_one_and_odd_pfaffian_is_zero(ring):
+    assert minor(twisted_cubic(ring), [], []) == ring.one()
+    g = SkewFormMatrix.from_upper(ring, 3, {(0, 1): ring.variable(0)})
+    assert pfaffian(g).is_zero
+
+
 class TestSkewAndPfaffian:
     def test_skewness_validated(self, ring):
         x0 = ring.variable(0)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from acmcurves.ring import MAX_FORM_DIM, PolyRing, is_prime, random_form
+from acmcurves.ring import MAX_FORM_DIM, Form, PolyRing, is_prime, random_form
 
 
 @pytest.fixture
@@ -138,6 +138,14 @@ class TestFormMul:
                     assert np.array_equal(ring.exps(a + b)[table[i:i + 256]],
                                           ring.exps(a)[i:i + 256, None] + ring.exps(b)[None])
 
+    def test_product_above_the_entry_cap_refused(self, ring):
+        # two degree-20 forms: the matrix of either would be 1771 x 12341
+        rng = random.Random(5)
+        f, g = random_form(20, ring, rng), random_form(20, ring, rng)
+        with pytest.raises(ValueError, match="product of degrees 20 and 20 too large: "
+                                             "its matrix would be 1771 x 12341"):
+            f * g
+
     def test_power_in_five_variables(self):
         ring = PolyRing(nvars=5)
         x0 = ring.variable(0)
@@ -266,6 +274,18 @@ class TestRingContext:
         assert ring.form(2, [(m, 3), (m, ring.p - 3)]) == ring.zero(2)
         assert ring.form(2, [(m, 3), (m, 5), ((0, 0, 2, 0), -1)]).terms == {
             (1, 1, 0, 0): 8, (0, 0, 2, 0): ring.p - 1}
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda ring: PolyRing(nvars=0), "at least one variable"),
+        (lambda ring: ring.variable(4), "variable index 4 out of range"),
+        (lambda ring: ring.variable(-1), "variable index -1 out of range"),
+        (lambda ring: Form(ring, -1, np.zeros(0, dtype=np.int64)), "non-negative"),
+        (lambda ring: ring.variable(0) + PolyRing(101).variable(0), "different rings"),
+        (lambda ring: ring.variable(0) * PolyRing(101).variable(0), "different rings"),
+    ])
+    def test_refusals(self, ring, build, match):
+        with pytest.raises(ValueError, match=match):
+            build(ring)
 
     @pytest.mark.parametrize("bad", [(1, 0, 0), (1, 0, 0, 0, 0), (2, -1, 0, 0)])
     def test_form_rejects_bad_exponent_vector(self, ring, bad):
