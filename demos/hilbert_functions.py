@@ -39,8 +39,9 @@ m, v = profile.certificate
 print(f"  stabilizes at {profile.stabilized_value} from degree {profile.stabilized_at};")
 print(f"  certificate: I is {m}-regular, witnessed by (I + x{v})_{m} = R_{m},")
 print(f"  so the intersection scheme has length {profile.stabilized_value}")
-h = h_vector_from_profile(profile, 3)
-print(f"  h-vector (codim 3): {h} - symmetric, socle degree {len(h) - 1}, sum {sum(h)}\n")
+h = h_vector_from_profile(profile)
+print(f"  h-vector (codim {profile.codimension}): {h} - symmetric, "
+      f"socle degree {len(h) - 1}, sum {sum(h)}\n")
 
 print("A missing certificate is an explicit outcome, not a crash:")
 curve_profile = hilbert_function(ideal, 6)

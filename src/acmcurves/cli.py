@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--input", type=Path, required=True)
     h.add_argument("--cutoff", type=int, default=None)
     h.add_argument("--codim", type=int, default=None,
-                   help="also extract the h-vector at this codimension")
+                   help="also extract the h-vector; must equal the certified codimension")
 
     i = sub.add_parser("intersect", help="length of the intersection of two matrix files")
     i.add_argument("--a", type=Path, required=True)
@@ -128,7 +128,11 @@ def _cmd_hilbert(args) -> int:
             _emit(doc, args.pretty)
             return _not_certified("h-vector", profile,
                                   "positive-dimensional, shared component or cutoff too small")
-        doc["hVector"] = list(h_vector_from_profile(profile, args.codim))
+        if args.codim != profile.codimension:
+            raise ValueError(f"codimension {args.codim} does not match the profile: its "
+                             f"certificate makes H constant at {profile.stabilized_value}, so "
+                             f"the codimension is {profile.codimension}")
+        doc["hVector"] = list(h_vector_from_profile(profile))
         doc["hVectorSum"] = sum(doc["hVector"])
     _emit(doc, args.pretty)
     return EXIT_OK

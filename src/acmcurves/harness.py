@@ -196,7 +196,7 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
             last_error = f"no stabilization by degree {cutoff} (seed {used_seed})"
             continue
         report.observed_degree = profile.stabilized_value
-        report.observed_h_vector = h_vector_from_profile(profile, 3)
+        report.observed_h_vector = h_vector_from_profile(profile)
 
         t0 = time.perf_counter()
         report.generator_degrees_observed = minimal_generator_degrees(gens)
@@ -275,26 +275,21 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
 
     ex-11:    twisted cubic against the embedding 4 x 5 matrix, length 11.
     ex-26:    random (5, 2) pair, length 26.
-    ex-2d3:   uniform-degree (2, 1) pair, length 2*d**3 (also accepts the
-              spelled form "ex-2d3(3)").
+    ex-2d3:   uniform-degree (2, 1) pair, length 2*d**3.
     ex-mixed: 2 x 3 matrix with degree matrix [[3,2,1],[3,2,1]]; case A cuts
               with the two first-column entries, case B with the unique cubic
               in the ideal (the minor of columns 2-3) and a fresh cubic.
     """
-    base = scenario_id
-    if scenario_id.startswith("ex-2d3(") and scenario_id.endswith(")"):
-        d = int(scenario_id[len("ex-2d3("):-1])
-        base = "ex-2d3"
-    if base not in SCENARIO_SEEDS:
+    if scenario_id not in SCENARIO_SEEDS:
         raise ValueError(f"unknown scenario {scenario_id!r}")
-    used_seed = SCENARIO_SEEDS[base] if seed is None else seed
+    used_seed = SCENARIO_SEEDS[scenario_id] if seed is None else seed
     ring = PolyRing(prime, 4)
     rng = random.Random(used_seed)
-    params = {"scenario": base, "p": prime, "seed": used_seed}
+    params = {"scenario": scenario_id, "p": prime, "seed": used_seed}
     report = VerificationReport(parameters=params)
     t0 = time.perf_counter()
 
-    if base == "ex-mixed":
+    if scenario_id == "ex-mixed":
         m_d = _mixed_degree_matrix(ring, rng)
         d_gens = maximal_minors(m_d)
         ci_a = [m_d.entry(0, 0), m_d.entry(1, 0)]
@@ -307,9 +302,9 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
             "caseB": {"observed": count_b, "expected": 33},
         }
     else:
-        if base == "ex-11":
+        if scenario_id == "ex-11":
             pair, expected = embed_pair(_twisted_cubic_matrix(ring), 4, rng), 11
-        elif base == "ex-26":
+        elif scenario_id == "ex-26":
             pair, expected = build_uniform_pair(5, 2, 1, rng, ring=ring), 26
         else:  # ex-2d3
             params["d"] = d

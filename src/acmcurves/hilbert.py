@@ -58,8 +58,9 @@ class HilbertProfile:
 
     Everything else is read off those: cutoff is the last degree of values;
     under a certificate, stabilized_value is H(m), the scheme length when R/I
-    is one-dimensional, and stabilized_at the first degree of the flat run of
-    values through m, the final one.
+    is one-dimensional, stabilized_at the first degree of the flat run of
+    values through m, the final one, and codimension nvars - 1 when H(m) > 0
+    and nvars when H(m) = 0, as H constant means dim R/I <= 1.
     """
 
     values: tuple[int, ...]
@@ -86,6 +87,10 @@ class HilbertProfile:
         while start and self.values[start - 1] == self.values[start]:
             start -= 1
         return start
+
+    @property
+    def codimension(self) -> int | None:
+        return None if self.certificate is None else self.nvars - (self.stabilized_value > 0)
 
 
 def macaulay_matrix(ideal: IdealPresentation, d: int) -> np.ndarray:
@@ -244,35 +249,25 @@ def _regularity_witness(ideal: IdealPresentation, m: int) -> int | None:
     return None
 
 
-def h_vector_from_profile(profile: HilbertProfile, codimension: int) -> tuple[int, ...]:
+def h_vector_from_profile(profile: HilbertProfile) -> tuple[int, ...]:
     """h-vector extracted from a certified Hilbert-function profile by finite
     differences.
 
-    A codimension-c subscheme has a quotient ring of Krull dimension
-    nvars - c, so that many difference passes reduce the Hilbert function to
-    the Artinian one. Only a profile with a certificate is accepted: without
-    one the tail of the values is not known to be final, so no h-vector is
-    backed by it. A certificate proves H eventually constant, so it fixes the
-    codimension: nvars - 1 when the constant is positive, nvars when it is 0;
-    any other codimension is refused with ValueError naming that one. The
+    Only a profile with a certificate is accepted: without one the tail of
+    the values is not known to be final, so no h-vector is backed by it. The
+    certificate fixes the codimension (HilbertProfile.codimension), and a
+    quotient ring of Krull dimension nvars - codimension takes that many
+    difference passes to reach the Artinian Hilbert function. The
     differenced sequence then ends in at least two zeros, as H is constant
     from m - 1 to the cutoff >= m + 1. Negative entries mean the input is
     not arithmetically Cohen-Macaulay at this cutoff (or the presentation is
     not saturated) and are reported as an error.
     """
-    ndiff = profile.nvars - codimension
-    if ndiff < 0:
-        raise ValueError(f"codimension {codimension} exceeds the ambient {profile.nvars} variables")
     if profile.certificate is None:
         raise ValueError(f"profile not certified by degree {profile.cutoff}: no h-vector "
                          "(positive-dimensional, shared component or cutoff too small)")
-    implied = profile.nvars - (profile.stabilized_value > 0)
-    if codimension != implied:
-        raise ValueError(f"codimension {codimension} does not match the profile: its certificate "
-                         f"makes H constant at {profile.stabilized_value}, so the codimension "
-                         f"is {implied}")
     seq = list(profile.values)
-    for _ in range(ndiff):
+    for _ in range(profile.nvars - profile.codimension):
         seq = [seq[i] - (seq[i - 1] if i else 0) for i in range(len(seq))]
     neg = [i for i, v in enumerate(seq) if v < 0]
     if neg:

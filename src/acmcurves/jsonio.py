@@ -15,16 +15,14 @@ import json
 from .harness import VerificationReport
 from .hilbert import HilbertProfile, IdealPresentation
 from .matforms import FormMatrix
-from .ring import Form, PolyRing
+from .ring import Form, PolyRing, _integer
 
 
 def _int(value, kind: str) -> int:
-    """int(value); a value int() refuses, or a number with a fractional part,
-    is a malformed document of that kind."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"malformed {kind} document: {value!r} is not an integer")
+    """ring._integer(value); a value it refuses is a malformed document of
+    that kind."""
     try:
-        return int(value)
+        return _integer(value)
     except ValueError as exc:
         raise ValueError(f"malformed {kind} document: {exc}") from exc
 
@@ -57,7 +55,7 @@ def matrix_from_doc(doc: dict) -> FormMatrix:
             out_row = []
             for j, pairs in enumerate(row):
                 if pairs:
-                    degree = sum(pairs[0][1])
+                    degree = sum(_int(v, "matrix") for v in pairs[0][1])
                 elif deg is not None:
                     degree = _int(deg[i][j], "matrix")
                 else:
@@ -89,8 +87,6 @@ def ideal_to_doc(ideal: IdealPresentation) -> dict:
 
 def ideal_from_doc(doc: dict) -> IdealPresentation:
     try:
-        if isinstance(doc.get("generators"), dict):
-            doc = doc["generators"]
         ring = PolyRing(_int(doc["p"], "ideal"), _int(doc["nvars"], "ideal"))
         gens = []
         degrees = doc.get("degrees")
@@ -100,7 +96,8 @@ def ideal_from_doc(doc: dict) -> IdealPresentation:
         for k, pairs in enumerate(doc["generators"]):
             if not pairs:
                 raise ValueError("ideal documents may not contain zero generators")
-            degree = _int(degrees[k], "ideal") if degrees is not None else sum(pairs[0][1])
+            degree = (_int(degrees[k], "ideal") if degrees is not None
+                      else sum(_int(v, "ideal") for v in pairs[0][1]))
             gens.append(form_from_pairs(ring, degree, pairs, "ideal"))
         return IdealPresentation(ring=ring, generators=tuple(gens))
     except (KeyError, TypeError, IndexError, AttributeError) as exc:

@@ -33,15 +33,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _mulmod
-from .ring import MAX_ARRAY_ENTRIES, Form, PolyRing
+from .linalg import _float_exact, _mulmod
+from .ring import MAX_ARRAY_ENTRIES, Form, PolyRing, _integer
 
 
 class FormMatrix:
     """Rectangular matrix of forms with an explicit degree matrix.
 
     Zero entries keep a declared degree slot so block layouts with forced
-    zeros stay representable.
+    zeros stay representable. A slot must be an integer (ring._integer).
     """
 
     def __init__(self, ring: PolyRing, entries: Sequence[Sequence[Form]],
@@ -56,6 +56,7 @@ class FormMatrix:
             degree_matrix = [[e.degree for e in row] for row in entries]
         elif len(degree_matrix) != rows or any(len(row) != cols for row in degree_matrix):
             raise ValueError(f"degree matrix must have the {rows}x{cols} shape of the entries")
+        degree_matrix = tuple(tuple(_integer(d) for d in row) for row in degree_matrix)
         for i, row in enumerate(entries):
             for j, e in enumerate(row):
                 if e.ring != ring:
@@ -66,7 +67,7 @@ class FormMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = tuple(tuple(row) for row in entries)
-        self.degree_matrix = tuple(tuple(int(d) for d in row) for row in degree_matrix)
+        self.degree_matrix = degree_matrix
 
     def entry(self, i: int, j: int) -> Form:
         return self.entries[i][j]
@@ -280,13 +281,10 @@ def _level_step(ring: PolyRing, level: tuple, entries: Sequence[Form], src: np.n
         raise ValueError(f"subset table level {int(targets[0]).bit_count()} too large: "
                          f"{len(targets)} subsets hold {size} coefficients "
                          f"(the limit is {MAX_ARRAY_ENTRIES})")
-    # An entry of a product sums at most dim R_{deg e} products of two
-    # residues, and a target gets one product per term. When the most terms
-    # of one target times dim R_{deg e} times (p-1)**2 stays below 2**53 (at
-    # p = 32003, when the first two multiply to less than 2**23), the float64
-    # sums are exact and the level is reduced once; otherwise _mulmod reduces
-    # each product first.
-    raw = int(np.bincount(tpos).max()) * ring.dim(int(edeg.max())) * (p - 1) ** 2 < 2**53
+    # a target's sum is one inner product over its terms' products, each of
+    # at most dim R_{deg e} residue pairs; while that is float-exact the level
+    # is reduced once, otherwise _mulmod reduces each product first
+    raw = _float_exact(int(np.bincount(tpos).max()) * ring.dim(int(edeg.max())), p)
     key = ent * (int(degrees.max()) + 1) + sdeg
     order = np.argsort(key, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(order)]

@@ -71,6 +71,14 @@ def monomial_degree(m: Monomial) -> int:
     return sum(m)
 
 
+def _integer(value) -> int:
+    """int(value) for an integer or an integral float (2.0 reads as 2); a float
+    with a fractional part, NaN or inf is refused with ValueError, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _dim(nvars: int, degree: int) -> int:
     """Number of degree-d monomials in nvars variables: the one place that
     refuses a basis above MAX_FORM_DIM, before anything of its size exists.
@@ -176,19 +184,19 @@ class PolyRing:
     # ---- form constructors ----
 
     def form(self, degree: int, terms: dict | Iterable = ()) -> Form:
-        """Build a form from (exponent vector, coefficient) pairs, summing
-        repeated monomials mod p. A degree whose monomial basis exceeds
-        MAX_FORM_DIM is refused before anything is allocated."""
+        """Build a form from (exponent vector, coefficient) pairs of integers
+        (_integer), summing repeated monomials mod p. A degree whose monomial
+        basis exceeds MAX_FORM_DIM is refused before anything is allocated."""
         items = terms.items() if isinstance(terms, dict) else terms
         monos, coefs = [], []
         for mono, coef in items:
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(_integer(e) for e in mono)
             if len(mono) != self.nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono}")
             if monomial_degree(mono) != degree:
                 raise ValueError(f"monomial {mono} has degree {monomial_degree(mono)}, expected {degree}")
             monos.append(mono)
-            coefs.append(int(coef) % self.p)
+            coefs.append(_integer(coef) % self.p)
         coeffs = np.zeros(self.dim(degree), dtype=np.int64)
         if monos:
             np.add.at(coeffs, _rank(self.nvars, degree, np.array(monos, dtype=np.int64)), coefs)

@@ -220,6 +220,9 @@ class TestHilbertInput:
                      id="fractional-modulus"),
         pytest.param({"p": 32003, "nvars": 4, "degrees": [2.5],
                       "generators": [[[1, [1, 0, 0, 0]]]]}, id="fractional-degree"),
+        pytest.param({"p": 32003, "generators": {"p": 32003, "nvars": 4, "degrees": [1],
+                                                 "generators": [[[1, [1, 0, 0, 0]]]]}},
+                     id="construct-stdout-nesting"),
     ])
     def test_malformed_document_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "ideal.json"
@@ -286,6 +289,17 @@ class TestHilbertInput:
         assert "hVector" not in doc and "hVectorSum" not in doc
         assert "not certified" in err
         assert "positive-dimensional, shared component or cutoff too small" in err
+
+    @pytest.mark.parametrize("codim", ["2", "4", "5"])
+    def test_codim_other_than_the_certificates_exit_2(self, capsys, tmp_path, codim):
+        # the (3, 1) scheme has length 8 > 0, so its certificate fixes codimension 3
+        run_cli(capsys, "construct", "--t", "3", "--r", "1", "--out-dir", str(tmp_path))
+        code, out, err = run_cli(capsys, "hilbert", "--input", str(tmp_path / "generators.json"),
+                                 "--codim", codim)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: codimension {codim} does not match the profile: its certificate "
+                       "makes H constant at 8, so the codimension is 3\n")
 
     def test_flat_uncertified_profile_names_the_witness(self, capsys, tmp_path):
         # the twisted cubic cut by x2 = 0: length 3 at [1:0:0:0] (double) and

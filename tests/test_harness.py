@@ -89,7 +89,7 @@ class TestVerifyConstruction:
         # a fault that surfaces as ValueError must not be masked by a later seed
         calls = []
 
-        def broken(profile, codimension):
+        def broken(profile):
             calls.append(profile)
             raise ValueError("negative difference at degree 3: not ACM at this cutoff")
         monkeypatch.setattr(harness, "h_vector_from_profile", broken)
@@ -264,8 +264,9 @@ class TestScenarios:
         assert rep.passed and rep.observed_degree == 16
 
     def test_ex_2d3_spelled_form(self):
-        rep = run_scenario("ex-2d3(3)")
-        assert rep.passed and rep.observed_degree == 54
+        # d is given by the d parameter only; "ex-2d3(3)" is no scenario id
+        with pytest.raises(ValueError, match="unknown scenario 'ex-2d3\\(3\\)'"):
+            run_scenario("ex-2d3(3)")
 
     def test_ex_mixed_observed_counts(self):
         # Case B matches its pinned value 33. Case A is pinned at 17, but the

@@ -318,24 +318,24 @@ class TestHVector:
         prof = hilbert_function(twisted_cubic_ideal(ring), 8)
         assert prof.values == tuple(3 * d + 1 for d in range(9))
         with pytest.raises(ValueError, match="not certified"):
-            h_vector_from_profile(prof, 2)
+            h_vector_from_profile(prof)
 
     def test_gorenstein_4_2(self):
         pair = build_linear_pair(4, 2, random.Random(4))
         prof = hilbert_function(gorenstein_generators(pair), 8)
-        assert h_vector_from_profile(prof, 3) == (1, 3, 3, 3, 1)
+        assert h_vector_from_profile(prof) == (1, 3, 3, 3, 1)
 
     def test_gorenstein_5_2(self):
         pair = build_linear_pair(5, 2, random.Random(5))
         prof = hilbert_function(gorenstein_generators(pair), 10)
-        h = h_vector_from_profile(prof, 3)
+        h = h_vector_from_profile(prof)
         assert h == (1, 3, 6, 6, 6, 3, 1)
         assert sum(h) == 26
 
     def test_profile_too_short_reported(self, ring):
         prof = hilbert_function(twisted_cubic_ideal(ring), 2)
         with pytest.raises(ValueError, match="cutoff too small"):
-            h_vector_from_profile(prof, 2)
+            h_vector_from_profile(prof)
 
     def test_negative_differences_reported(self, ring):
         # the false plateau is certified at (6, 3) with H = 1 from degree 5
@@ -344,30 +344,29 @@ class TestHVector:
         prof = hilbert_function(false_plateau_ideal(ring))
         assert prof.certificate == (6, 3)
         with pytest.raises(ValueError, match="negative difference at degree 5: not ACM"):
-            h_vector_from_profile(prof, 3)
+            h_vector_from_profile(prof)
 
     def test_codimension_fixed_by_the_certificate(self, ring):
         # the quotient by all four variables has Krull dimension 0: its
-        # certificate makes H constant at 0, so only codimension 4 is accepted
+        # certificate makes H constant at 0, so the codimension is 4 and no
+        # difference is taken
         ideal = IdealPresentation(ring=ring, generators=tuple(ring.variable(i) for i in range(4)))
         prof = hilbert_function(ideal, 6)
-        with pytest.raises(ValueError, match="codimension 3 does not match .* is 4"):
-            h_vector_from_profile(prof, 3)
-        assert h_vector_from_profile(prof, 4) == (1,)
-        # a scheme of length B(3, 1) = 8 (H constant at 8 > 0) has codimension 3 only
+        assert prof.codimension == 4 and h_vector_from_profile(prof) == (1,)
+        # a scheme of length B(3, 1) = 8 (H constant at 8 > 0) has codimension 3
         pair = build_linear_pair(3, 1, random.Random(3))
         prof = hilbert_function(gorenstein_generators(pair))
         assert prof.stabilized_value == bound_linear(3, 1) == 8
-        for wrong in (-1, 2, 4):
-            with pytest.raises(ValueError, match=f"codimension {wrong} does not match .* is 3"):
-                h_vector_from_profile(prof, wrong)
+        assert prof.codimension == 3 and h_vector_from_profile(prof) == h_vector_gorenstein(3, 1)
+        # a curve's profile has no certificate, so no codimension
+        assert hilbert_function(twisted_cubic_ideal(ring), 8).codimension is None
 
     def test_artinian_three_variables(self):
         ring3 = PolyRing(nvars=3)
         rng = random.Random(6)
         gens = tuple(random_form(2, ring3, rng) for _ in range(3))
         prof = hilbert_function(IdealPresentation(ring=ring3, generators=gens), 8)
-        h = h_vector_from_profile(prof, 3)  # zero differences: values themselves
+        h = h_vector_from_profile(prof)  # codimension 3: the values themselves
         assert h == (1, 3, 3, 1)  # complete intersection of three quadrics
 
 
@@ -403,7 +402,7 @@ class TestInvariants:
         for (t, r) in [(3, 1), (4, 2), (5, 3)]:
             pair = build_linear_pair(t, r, random.Random(t * 10 + r))
             prof = hilbert_function(gorenstein_generators(pair), 2 * t + 2)
-            h = h_vector_from_profile(prof, 3)
+            h = h_vector_from_profile(prof)
             s = 2 * t - r - 2
             assert len(h) == s + 1
             assert h == tuple(reversed(h))
@@ -595,8 +594,6 @@ class TestGradedPieceSpansEqual:
 @pytest.mark.parametrize("call,match", [
     (lambda ideal: ideal_piece_dim(ideal, -1), "degree must be non-negative"),
     (lambda ideal: hilbert_function(ideal, -1), "cutoff must be non-negative"),
-    (lambda ideal: h_vector_from_profile(hilbert_function(ideal), 5),
-     "codimension 5 exceeds the ambient 4 variables"),
     (lambda ideal: graded_piece_spans_equal(
         ideal, IdealPresentation(ring=PolyRing(101), generators=()), 2), "different rings"),
 ])

@@ -87,6 +87,20 @@ def test_non_integral_coefficient_refused(ring, value):
     assert jsonio.form_from_pairs(ring, 1, [[2.0, [1.0, 0, 0, 0]]]) == ring.variable(0) * 2
 
 
+@pytest.mark.parametrize("kind,wrap,read", [
+    ("matrix", lambda pairs: {"entries": [[pairs]]}, lambda m: m.entry(0, 0)),
+    ("ideal", lambda pairs: {"generators": [pairs]}, lambda ideal: ideal.generators[0]),
+])
+def test_degree_read_off_integral_exponents(ring, kind, wrap, read):
+    # with no degree given, an entry's or a generator's degree is the sum of
+    # the exponents of its first term, each read as an integer
+    decode = getattr(jsonio, f"{kind}_from_doc")
+    doc = lambda e0: {"p": ring.p, "nvars": 4, **wrap([[1, [e0, 0, 0, 0]]])}
+    assert read(decode(doc(1.0))) == ring.variable(0)
+    with pytest.raises(ValueError, match=f"malformed {kind} document: 1.5 is not an integer"):
+        decode(doc(1.5))
+
+
 def test_canonical_dumps_is_stable():
     doc = {"b": 1, "a": [3, 2], "c": {"y": None, "x": True}}
     assert jsonio.dumps(doc) == jsonio.dumps(json.loads(jsonio.dumps(doc)))

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from acmcurves import matforms
 from acmcurves.construct import build_uniform_pair, skew_matrix_G
+from acmcurves.linalg import _mulmod
 from acmcurves.matforms import (FormMatrix, SkewFormMatrix,
                                 determinant, maximal_minors, minor, pfaffian,
                                 principal_pfaffians)
@@ -159,6 +161,24 @@ class TestMaximalMinors:
             assert got[dropped] == expect
 
 
+@pytest.mark.parametrize("p", [33554393, 33554467])
+def test_float_sums_on_either_side_of_the_exactness_bound(p, monkeypatch):
+    """The last level of a 2 x 3 linear matrix has 2 terms per target, each a
+    product over dim R_1 = 4 residue pairs, so linalg._float_exact(8, p)
+    decides it: true just below 2**25, where each target is one float64 sum
+    reduced once, and false just above, where _mulmod reduces each product."""
+    reduced = []
+    monkeypatch.setattr(matforms, "_mulmod", lambda x, y, p: reduced.append(x) or _mulmod(x, y, p))
+    ring = PolyRing(p)
+    rng = random.Random(p)
+    for _ in range(20):
+        m = random_matrix(ring, 2, 3, 1, rng)
+        for dropped, got in enumerate(maximal_minors(m)):
+            cols = [c for c in range(3) if c != dropped]
+            assert got == naive_det(ring, [[m.entry(i, j) for j in cols] for i in range(2)])
+    assert bool(reduced) == (p > 2**25)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_tables_make_no_form_products(p, monkeypatch):
     pair = build_uniform_pair(4, 2, 1, random.Random(16), ring=PolyRing(p))
@@ -291,6 +311,7 @@ class TestDegreeMatrix:
     (lambda ring, x: FormMatrix(ring, [[]]), "non-empty"),
     (lambda ring, x: FormMatrix(ring, [[x, x], [x]]), "ragged rows"),
     (lambda ring, x: FormMatrix(ring, [[x, PolyRing(101).variable(0)]]), "entry ring mismatch"),
+    (lambda ring, x: FormMatrix(ring, [[x, ring.zero(1)]], [[1, 1.5]]), "1.5 is not an integer"),
     (lambda ring, x: SkewFormMatrix(ring, [[ring.zero(), x]]), "must be square"),
     (lambda ring, x: SkewFormMatrix(ring, [[x]]), "diagonal entry \\(0,0\\)"),
     (lambda ring, x: SkewFormMatrix.from_upper(ring, 2, {(1, 0): x}), "need i < j"),

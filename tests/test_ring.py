@@ -275,6 +275,9 @@ class TestRingContext:
         assert ring.form(2, [(m, 3), (m, 5), ((0, 0, 2, 0), -1)]).terms == {
             (1, 1, 0, 0): 8, (0, 0, 2, 0): ring.p - 1}
 
+    def test_form_reads_integral_floats_as_integers(self, ring):
+        assert ring.form(1, [((1.0, 0, 0, 0), 2.0)]) == ring.variable(0).scale(2)
+
     @pytest.mark.parametrize("build,match", [
         (lambda ring: PolyRing(nvars=0), "at least one variable"),
         (lambda ring: ring.variable(4), "variable index 4 out of range"),
@@ -282,6 +285,8 @@ class TestRingContext:
         (lambda ring: Form(ring, -1, np.zeros(0, dtype=np.int64)), "non-negative"),
         (lambda ring: ring.variable(0) + PolyRing(101).variable(0), "different rings"),
         (lambda ring: ring.variable(0) * PolyRing(101).variable(0), "different rings"),
+        (lambda ring: ring.form(1, [((1, 0, 0, 0), 1.5)]), "1.5 is not an integer"),
+        (lambda ring: ring.form(1, [((1.7, 0, 0, 0), 1)]), "1.7 is not an integer"),
     ])
     def test_refusals(self, ring, build, match):
         with pytest.raises(ValueError, match=match):
