@@ -22,14 +22,13 @@ from .hilbert import (HilbertProfile, IdealPresentation, graded_piece_spans_equa
 from .linalg import echelon_basis, rank_modp
 from .matforms import (FormMatrix, SkewFormMatrix, determinant, maximal_minors, minor,
                        pfaffian, principal_pfaffians)
-from .ring import (DEFAULT_PRIME, Form, Monomial, PolyRing, is_prime, monomial_degree,
-                   random_form)
+from .ring import DEFAULT_PRIME, Form, PolyRing, is_prime, random_form
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BettiShape", "ConstructionPair", "DEFAULT_PRIME", "DegenerateSample", "Form",
-    "FormMatrix", "HilbertProfile", "IdealPresentation", "Monomial",
+    "FormMatrix", "HilbertProfile", "IdealPresentation",
     "PolyRing", "SCENARIO_SEEDS", "SkewFormMatrix", "TensorViews",
     "VerificationReport", "binom", "bound_linear", "bound_uniform",
     "build_linear_pair", "build_uniform_pair", "conjecture_evidence", "deg_acm",
@@ -38,7 +37,7 @@ __all__ = [
     "graded_piece_spans_equal", "h_vector_from_profile", "h_vector_gorenstein",
     "hilbert_from_resolution", "hilbert_function", "ideal_piece_dim",
     "intersect_count", "is_prime", "macaulay_matrix", "maximal_minors",
-    "minimal_generator_degrees", "minor", "monomial_degree", "pfaffian",
+    "minimal_generator_degrees", "minor", "pfaffian",
     "perturbed_pfaffian_span_check", "pfaffian_span_check", "principal_pfaffians",
     "random_form", "rank_modp",
     "rational_point_oracle", "run_scenario", "skew_matrix_G", "tensor_views",

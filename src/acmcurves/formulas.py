@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .ring import _integer
+
 
 def binom(n: int, k: int) -> int:
     if k < 0 or n < 0 or n < k:
@@ -75,14 +77,17 @@ class BettiShape:
 
     terms is a sequence of (homological index i, twist a, rank m), meaning a
     summand R(-a)^m at step i, with i running 1..codimension. The alternating
-    rank sum must be +-1 for an ideal resolution.
+    rank sum must be +-1 for an ideal resolution. The codimension and every
+    entry of a term are read by ring._integer.
     """
 
     codimension: int
     terms: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((int(i), int(a), int(m)) for i, a, m in self.terms))
+        object.__setattr__(self, "codimension", _integer(self.codimension))
+        object.__setattr__(self, "terms", tuple((_integer(i), _integer(a), _integer(m))
+                                                for i, a, m in self.terms))
         for i, a, m in self.terms:
             if not 1 <= i <= self.codimension:
                 raise ValueError(f"homological index {i} outside 1..{self.codimension}")
@@ -122,22 +127,21 @@ def expected_betti(t: int, r: int, d: int = 1) -> BettiShape:
     )
 
 
-def hilbert_from_resolution(shape: BettiShape, codimension: int | None = None) -> tuple[tuple[int, ...], int]:
+def hilbert_from_resolution(shape: BettiShape) -> tuple[tuple[int, ...], int]:
     """(h-vector, degree) encoded by a resolution shape.
 
     The numerator N(z) = 1 + sum_i (-1)^i sum_terms m * z^a is divided by
-    (1-z)^c; the division must be exact with non-negative coefficients, else
-    the shape is inconsistent with a Cohen-Macaulay quotient of that
-    codimension.
+    (1-z)^c, c the shape's codimension; the division must be exact with
+    non-negative coefficients, else the shape is inconsistent with a
+    Cohen-Macaulay quotient of that codimension.
     """
-    c = shape.codimension if codimension is None else codimension
     top = max(a for _, a, _ in shape.terms)
     num = [0] * (top + 1)
     num[0] = 1
     for i, a, m in shape.terms:
         num[a] += (-1) ** i * m
     coeffs = num
-    for _ in range(c):
+    for _ in range(shape.codimension):
         pref = []
         acc = 0
         for v in coeffs:

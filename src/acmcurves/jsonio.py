@@ -3,13 +3,14 @@
 A form is a list of [coefficient, [e0, ..., en]] pairs, sorted by exponent
 vector so that equal objects serialize to identical bytes. Matrix and ideal
 documents carry the modulus and variable count in their header. The
-decoders turn a document of the wrong shape (a list for an object, a degree
-list or a rows/cols header that does not match the body, a term without its
-exponent vector, a number with a fractional part) into a ValueError.
+decoders convert nothing themselves: PolyRing, PolyRing.form and FormMatrix
+read each number by ring._integer, as does the rows/cols check of a matrix
+header. Any refusal while decoding reads `malformed <kind> document: <reason>`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 from .harness import VerificationReport
@@ -18,12 +19,12 @@ from .matforms import FormMatrix
 from .ring import Form, PolyRing, _integer
 
 
-def _int(value, kind: str) -> int:
-    """ring._integer(value); a value it refuses is a malformed document of
-    that kind."""
+@contextlib.contextmanager
+def _malformed(kind: str):
+    """Turn a refusal inside a decoder's body into a malformed document of that kind."""
     try:
-        return _integer(value)
-    except ValueError as exc:
+        yield
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed {kind} document: {exc}") from exc
 
 
@@ -31,8 +32,8 @@ def form_to_pairs(f: Form) -> list:
     return [[c, list(m)] for m, c in sorted(f.terms.items())]
 
 
-def form_from_pairs(ring: PolyRing, degree: int, pairs, kind: str = "form") -> Form:
-    return ring.form(degree, [(tuple(_int(v, kind) for v in e), _int(c, kind)) for c, e in pairs])
+def form_from_pairs(ring: PolyRing, degree: int, pairs) -> Form:
+    return ring.form(degree, [(e, c) for c, e in pairs])
 
 
 def matrix_to_doc(m: FormMatrix) -> dict:
@@ -47,33 +48,23 @@ def matrix_to_doc(m: FormMatrix) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> FormMatrix:
-    try:
-        ring = PolyRing(_int(doc["p"], "matrix"), _int(doc["nvars"], "matrix"))
+    """An entry's degree is that of its first term; an empty entry takes its
+    slot's, 0 without a degree matrix."""
+    with _malformed("matrix"):
+        ring = PolyRing(doc["p"], doc["nvars"])
         deg = doc.get("degreeMatrix")
         entries = []
         for i, row in enumerate(doc["entries"]):
-            out_row = []
+            entries.append([])
             for j, pairs in enumerate(row):
-                if pairs:
-                    degree = sum(_int(v, "matrix") for v in pairs[0][1])
-                elif deg is not None:
-                    degree = _int(deg[i][j], "matrix")
-                else:
-                    degree = 0
-                out_row.append(form_from_pairs(ring, degree, pairs, "matrix"))
-            entries.append(out_row)
-        dm = [[_int(v, "matrix") for v in row] for row in deg] if deg is not None else None
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise ValueError(f"malformed matrix document: {exc}") from exc
-    try:
-        m = FormMatrix(ring, entries, dm)
-    except ValueError as exc:  # ragged rows, a degree slot or shape that does not fit
-        raise ValueError(f"malformed matrix document: {exc}") from exc
-    header = doc.get("rows", m.rows), doc.get("cols", m.cols)
-    if header != (m.rows, m.cols):
-        raise ValueError(f"malformed matrix document: the header says {header[0]} x {header[1]}, "
-                         f"the entries are {m.rows} x {m.cols}")
-    return m
+                degree = sum(pairs[0][1]) if pairs else 0 if deg is None else deg[i][j]
+                entries[-1].append(form_from_pairs(ring, degree, pairs))
+        m = FormMatrix(ring, entries, deg)
+        header = _integer(doc.get("rows", m.rows)), _integer(doc.get("cols", m.cols))
+        if header != (m.rows, m.cols):
+            raise ValueError(f"the header says {header[0]} x {header[1]}, "
+                             f"the entries are {m.rows} x {m.cols}")
+        return m
 
 
 def ideal_to_doc(ideal: IdealPresentation) -> dict:
@@ -86,22 +77,17 @@ def ideal_to_doc(ideal: IdealPresentation) -> dict:
 
 
 def ideal_from_doc(doc: dict) -> IdealPresentation:
-    try:
-        ring = PolyRing(_int(doc["p"], "ideal"), _int(doc["nvars"], "ideal"))
-        gens = []
+    with _malformed("ideal"):
+        ring = PolyRing(doc["p"], doc["nvars"])
+        gens = doc["generators"]
         degrees = doc.get("degrees")
-        if degrees is not None and len(degrees) != len(doc["generators"]):
-            raise ValueError(f"malformed ideal document: {len(degrees)} degrees for "
-                             f"{len(doc['generators'])} generators")
-        for k, pairs in enumerate(doc["generators"]):
-            if not pairs:
-                raise ValueError("ideal documents may not contain zero generators")
-            degree = (_int(degrees[k], "ideal") if degrees is not None
-                      else sum(_int(v, "ideal") for v in pairs[0][1]))
-            gens.append(form_from_pairs(ring, degree, pairs, "ideal"))
-        return IdealPresentation(ring=ring, generators=tuple(gens))
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise ValueError(f"malformed ideal document: {exc}") from exc
+        if degrees is not None and len(degrees) != len(gens):
+            raise ValueError(f"{len(degrees)} degrees for {len(gens)} generators")
+        if not all(gens):
+            raise ValueError("ideal documents may not contain zero generators")
+        return IdealPresentation(ring=ring, generators=tuple(
+            form_from_pairs(ring, sum(pairs[0][1]) if degrees is None else degrees[k], pairs)
+            for k, pairs in enumerate(gens)))
 
 
 def profile_to_doc(profile: HilbertProfile) -> dict:

@@ -29,8 +29,6 @@ from .linalg import _mulmod
 
 DEFAULT_PRIME = 32003
 
-Monomial = tuple  # exponent vector, one non-negative entry per variable
-
 # Largest monomial basis built or addressed (degree 82 in 4 variables), far
 # above the degree-24 pieces (2925 monomials) that verify (4,1,3) ranks.
 MAX_FORM_DIM = 100_000
@@ -67,14 +65,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def _integer(value) -> int:
-    """int(value) for an integer or an integral float (2.0 reads as 2); a float
-    with a fractional part, NaN or inf is refused with ValueError, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """The one rule for a number from outside, applied by the constructor that
+    owns it: an int, a numpy integer or an integral float (2.0 reads as 2) is
+    an int; a fraction, NaN, inf, a bool, a string or anything else is refused
+    with ValueError, never truncated or parsed."""
+    integral = ((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+                or (isinstance(value, float) and value.is_integer()))
+    if not integral:
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -144,6 +142,7 @@ class PolyRing:
     """
 
     def __init__(self, p: int = DEFAULT_PRIME, nvars: int = 4):
+        p, nvars = _integer(p), _integer(nvars)
         if not (2 < p < 2**31):
             raise ValueError(f"modulus must satisfy 2 < p < 2**31, got {p}")
         if not is_prime(p):
@@ -167,7 +166,7 @@ class PolyRing:
         above MAX_FORM_DIM."""
         return _dim(self.nvars, degree)
 
-    def monomials(self, degree: int) -> tuple[Monomial, ...]:
+    def monomials(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """The degree-d basis as exponent tuples, in descending lexicographic order."""
         return tuple(map(tuple, self.exps(degree).tolist()))
 
@@ -184,17 +183,19 @@ class PolyRing:
     # ---- form constructors ----
 
     def form(self, degree: int, terms: dict | Iterable = ()) -> Form:
-        """Build a form from (exponent vector, coefficient) pairs of integers
-        (_integer), summing repeated monomials mod p. A degree whose monomial
-        basis exceeds MAX_FORM_DIM is refused before anything is allocated."""
+        """Build a form from (exponent vector, coefficient) pairs, summing
+        repeated monomials mod p; the degree, exponents and coefficients are
+        read by _integer. A degree whose monomial basis exceeds MAX_FORM_DIM
+        is refused before anything is allocated."""
+        degree = _integer(degree)
         items = terms.items() if isinstance(terms, dict) else terms
         monos, coefs = [], []
         for mono, coef in items:
-            mono = tuple(_integer(e) for e in mono)
+            mono = tuple(map(_integer, mono))
             if len(mono) != self.nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono}")
-            if monomial_degree(mono) != degree:
-                raise ValueError(f"monomial {mono} has degree {monomial_degree(mono)}, expected {degree}")
+            if sum(mono) != degree:
+                raise ValueError(f"monomial {mono} has degree {sum(mono)}, expected {degree}")
             monos.append(mono)
             coefs.append(_integer(coef) % self.p)
         coeffs = np.zeros(self.dim(degree), dtype=np.int64)
@@ -210,7 +211,7 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, c: int) -> Form:
-        return Form(self, 0, np.array([c % self.p], dtype=np.int64))
+        return Form(self, 0, np.array([_integer(c) % self.p], dtype=np.int64))
 
     def variable(self, i: int) -> Form:
         if not 0 <= i < self.nvars:
@@ -220,7 +221,8 @@ class PolyRing:
         return Form(self, 1, coeffs)
 
     def monomial(self, exps: Sequence[int], coef: int = 1) -> Form:
-        return self.form(sum(exps), [(tuple(exps), coef)])
+        exps = tuple(map(_integer, exps))
+        return self.form(sum(exps), [(exps, coef)])
 
 
 class Form:
@@ -244,7 +246,7 @@ class Form:
         self.is_zero = not coeffs.any()
 
     @property
-    def terms(self) -> dict[Monomial, int]:
+    def terms(self) -> dict[tuple[int, ...], int]:
         """The nonzero coefficients as a fresh {exponent vector: coefficient} map."""
         nz = np.flatnonzero(self.coeffs)
         monos = map(tuple, self.ring.exps(self.degree)[nz].tolist())
@@ -291,9 +293,10 @@ class Form:
         return self + (-other)
 
     def __mul__(self, other) -> Form:
-        """The coefficients of the factor with fewer monomials times the
-        mul_matrix of the other, reduced by _mulmod: exact for every p."""
-        if isinstance(other, int):
+        """A non-form factor is a scalar (scale). Of two forms, the coefficients
+        of the factor with fewer monomials times the mul_matrix of the other,
+        reduced by _mulmod: exact for every p."""
+        if not isinstance(other, Form):
             return self.scale(other)
         if self.ring != other.ring:
             raise ValueError("forms live in different rings")
@@ -321,7 +324,7 @@ class Form:
         return out
 
     def scale(self, c: int) -> Form:
-        c %= self.ring.p
+        c = _integer(c) % self.ring.p
         if c == 0:
             return self.ring.zero(self.degree)
         if c == 1:
@@ -334,8 +337,8 @@ class Form:
         p = self.ring.p
         exps = self.ring.exps(self.degree)
         vals = self.coeffs
-        for v, x in enumerate(point):
-            powers = np.array([pow(int(x), e, p) for e in range(self.degree + 1)], dtype=np.int64)
+        for v, x in enumerate(map(_integer, point)):
+            powers = np.array([pow(x, e, p) for e in range(self.degree + 1)], dtype=np.int64)
             vals = vals * powers[exps[:, v]] % p
         return int(vals.sum() % p)
 

@@ -184,6 +184,19 @@ class TestIntersect:
         assert err.startswith("error: malformed matrix document")
 
 
+    @pytest.mark.parametrize("rows", ["1", True, 1.5])
+    def test_header_not_an_integer_exit_2(self, capsys, tmp_path, rows):
+        # m.json is 1 x 2: "rows": true once read as 1, and "rows": "1" exited
+        # with "the header says 1 x 2, the entries are 1 x 2"
+        args = self._write_pair(tmp_path, 2)
+        doc = json.loads((tmp_path / "m.json").read_text())
+        (tmp_path / "m.json").write_text(json.dumps({**doc, "rows": rows}))
+        code, out, err = run_cli(capsys, "intersect", *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: malformed matrix document: {rows!r} is not an integer")
+
+
 class TestHilbertInput:
     @staticmethod
     def _hilbert(capsys, tmp_path, generators, *extra, nvars=4):
@@ -220,6 +233,14 @@ class TestHilbertInput:
                      id="fractional-modulus"),
         pytest.param({"p": 32003, "nvars": 4, "degrees": [2.5],
                       "generators": [[[1, [1, 0, 0, 0]]]]}, id="fractional-degree"),
+        pytest.param({"p": 32003, "nvars": 4, "generators": [[[True, [1, 0, 0, 0]]]]},
+                     id="boolean-coefficient"),
+        pytest.param({"p": 32003, "nvars": 4, "generators": [[["3", [1, 0, 0, 0]]]]},
+                     id="string-coefficient"),
+        pytest.param({"p": "32003", "nvars": 4, "generators": [[[1, [1, 0, 0, 0]]]]},
+                     id="string-modulus"),
+        pytest.param({"p": 32003, "nvars": 4, "generators": [[[1, ["1", 0, 0, 0]]]]},
+                     id="string-exponent"),
         pytest.param({"p": 32003, "generators": {"p": 32003, "nvars": 4, "degrees": [1],
                                                  "generators": [[[1, [1, 0, 0, 0]]]]}},
                      id="construct-stdout-nesting"),

@@ -125,6 +125,11 @@ class TestBettiShape:
         with pytest.raises(ValueError):
             BettiShape(codimension=2, terms=((1, 2, 2), (2, 3, 2)))
 
+    def test_integral_floats_read_as_integers(self):
+        shape = BettiShape(codimension=2.0, terms=((1, 2.0, 3), (2, 3, 2.0)))
+        assert shape == BettiShape(codimension=2, terms=((1, 2, 3), (2, 3, 2)))
+        assert type(shape.codimension) is int and type(shape.terms[0][1]) is int
+
     def test_index_range_enforced(self):
         with pytest.raises(ValueError):
             BettiShape(codimension=2, terms=((3, 2, 1),))
@@ -138,6 +143,10 @@ class TestBettiShape:
     (lambda: expected_betti(3, 1, 0), "need d >= 1"),
     (lambda: BettiShape(codimension=1, terms=((1, 2, 0),)), "ranks must be positive"),
     (lambda: BettiShape(codimension=1, terms=((1, 2, -1),)), "ranks must be positive"),
+    # int() once truncated these twists to 2 and 3, a different resolution
+    (lambda: BettiShape(2, ((1, 2.7, 3), (2, 3.2, 2))), "2.7 is not an integer"),
+    (lambda: BettiShape(2, ((1, "2", 3), (2, 3, 2))), "'2' is not an integer"),
+    (lambda: BettiShape(2.5, ((1, 2, 3), (2, 3, 2))), "2.5 is not an integer"),
 ])
 def test_refusals(build, match):
     with pytest.raises(ValueError, match=match):

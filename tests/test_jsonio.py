@@ -80,11 +80,25 @@ def test_empty_entry_without_degree_matrix_is_a_zero_of_degree_0(ring):
     assert m.entry(0, 1).is_zero and m.degree_matrix == ((1, 0),)
 
 
-@pytest.mark.parametrize("value", [1.5, float("nan"), "x"])
+@pytest.mark.parametrize("value", [1.5, float("nan"), "x", True, "3"])
 def test_non_integral_coefficient_refused(ring, value):
     with pytest.raises(ValueError, match="malformed ideal document"):
         jsonio.ideal_from_doc({"p": ring.p, "nvars": 4, "generators": [[[value, [1, 0, 0, 0]]]]})
     assert jsonio.form_from_pairs(ring, 1, [[2.0, [1.0, 0, 0, 0]]]) == ring.variable(0) * 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"p": "32003", "nvars": 4, "generators": [[[1, [1, 0, 0, 0]]]]},
+    {"p": 32003, "nvars": 4, "generators": [[[1, ["1", 0, 0, 0]]]]},
+    {"p": 32003, "nvars": 4, "generators": [[[1, [1, "0", 0, 0]]]]},
+    {"p": 32003, "nvars": 4, "generators": [[[1, [True, 0, 0, 0]]]]},
+    {"p": "32003", "nvars": 4, "generators": [[[True, ["1", 0, 0, 0]]]]},
+], ids=["string-modulus", "string-exponent", "string-later-exponent", "bool-exponent",
+        "strings-and-bool"])
+def test_strings_and_booleans_refused(doc):
+    # each once decoded to x0 over F_32003, int() reading "1" and True as 1
+    with pytest.raises(ValueError, match="malformed ideal document"):
+        jsonio.ideal_from_doc(doc)
 
 
 @pytest.mark.parametrize("kind,wrap,read", [

@@ -312,6 +312,8 @@ class TestDegreeMatrix:
     (lambda ring, x: FormMatrix(ring, [[x, x], [x]]), "ragged rows"),
     (lambda ring, x: FormMatrix(ring, [[x, PolyRing(101).variable(0)]]), "entry ring mismatch"),
     (lambda ring, x: FormMatrix(ring, [[x, ring.zero(1)]], [[1, 1.5]]), "1.5 is not an integer"),
+    (lambda ring, x: FormMatrix(ring, [[x, ring.zero(1)]], [[1, "2"]]), "'2' is not an integer"),
+    (lambda ring, x: FormMatrix(ring, [[x, ring.zero(1)]], [[True, 1]]), "True is not an integer"),
     (lambda ring, x: SkewFormMatrix(ring, [[ring.zero(), x]]), "must be square"),
     (lambda ring, x: SkewFormMatrix(ring, [[x]]), "diagonal entry \\(0,0\\)"),
     (lambda ring, x: SkewFormMatrix.from_upper(ring, 2, {(1, 0): x}), "need i < j"),

@@ -277,6 +277,11 @@ class TestRingContext:
 
     def test_form_reads_integral_floats_as_integers(self, ring):
         assert ring.form(1, [((1.0, 0, 0, 0), 2.0)]) == ring.variable(0).scale(2)
+        assert ring.form(np.int64(1), [((np.int32(1), 0, 0, 0), np.int64(2))]) == ring.variable(0) * 2
+        assert ring.monomial((1.0, 0, 0, 0)) == ring.variable(0)
+        assert PolyRing(32003.0) == PolyRing() and type(PolyRing(32003.0).p) is int
+        assert type(PolyRing(nvars=np.int64(3)).nvars) is int
+        assert ring.variable(0) * np.int64(2) == ring.constant(2.0) * ring.variable(0)
 
     @pytest.mark.parametrize("build,match", [
         (lambda ring: PolyRing(nvars=0), "at least one variable"),
@@ -287,6 +292,17 @@ class TestRingContext:
         (lambda ring: ring.variable(0) * PolyRing(101).variable(0), "different rings"),
         (lambda ring: ring.form(1, [((1, 0, 0, 0), 1.5)]), "1.5 is not an integer"),
         (lambda ring: ring.form(1, [((1.7, 0, 0, 0), 1)]), "1.7 is not an integer"),
+        (lambda ring: ring.form(1, [((1, 0, 0, 0), True)]), "True is not an integer"),
+        (lambda ring: ring.form(1, [((1, 0, 0, 0), "3")]), "'3' is not an integer"),
+        (lambda ring: ring.form(2.5, []), "2.5 is not an integer"),
+        (lambda ring: ring.monomial((0.5, 1.5, 0, 0)), "0.5 is not an integer"),
+        (lambda ring: PolyRing("32003"), "'32003' is not an integer"),
+        (lambda ring: PolyRing(32003.5), "32003.5 is not an integer"),
+        (lambda ring: PolyRing(nvars="4"), "'4' is not an integer"),
+        (lambda ring: ring.variable(0).evaluate((0.25, 0, 0, 0)), "0.25 is not an integer"),
+        (lambda ring: ring.constant(0.75), "0.75 is not an integer"),
+        (lambda ring: ring.variable(0).scale(1.25), "1.25 is not an integer"),
+        (lambda ring: ring.variable(0) * 3.5, "3.5 is not an integer"),
     ])
     def test_refusals(self, ring, build, match):
         with pytest.raises(ValueError, match=match):
