@@ -85,9 +85,10 @@ class BettiShape:
     terms: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "codimension", _integer(self.codimension))
-        object.__setattr__(self, "terms", tuple((_integer(i), _integer(a), _integer(m))
-                                                for i, a, m in self.terms))
+        object.__setattr__(self, "codimension", _integer(self.codimension, "codimension"))
+        object.__setattr__(self, "terms", tuple(
+            (_integer(i, "homological index"), _integer(a, "twist"), _integer(m, "rank"))
+            for i, a, m in self.terms))
         for i, a, m in self.terms:
             if not 1 <= i <= self.codimension:
                 raise ValueError(f"homological index {i} outside 1..{self.codimension}")

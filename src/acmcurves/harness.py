@@ -152,8 +152,7 @@ def perturbed_pfaffian_span_check(pair: ConstructionPair, rng: random.Random) ->
     top = pair.t - pair.r + 1
     i = rng.randrange(top)
     j = rng.randrange(i + 1, g.size)
-    slot = (pair.r + 1) * pair.d if j < top else pair.d
-    g2 = g.with_entry(i, j, random_form(slot, pair.m_big.ring, rng))
+    g2 = g.with_entry(i, j, random_form(g.degree_matrix[i][j], pair.m_big.ring, rng))
     return _pfaffians_match(gorenstein_generators(pair), g2)
 
 
@@ -170,11 +169,12 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
     ring = PolyRing(prime, 4)
     params = {"t": t, "r": r, "d": d, "p": prime, "seed": seed}
     report = VerificationReport(parameters=params)
-    cutoff = d * (2 * t - r + 1)
-    expected_h, expected_deg = formulas.hilbert_from_resolution(formulas.expected_betti(t, r, d))
+    shape = formulas.expected_betti(t, r, d)
+    cutoff = max(shape.step(3))  # the top twist
+    expected_h, expected_deg = formulas.hilbert_from_resolution(shape)
     report.expected_degree = expected_deg
     report.expected_h_vector = expected_h
-    report.generator_degrees_expected = {d * (t - r): t - r + 1, d * t: t - r}
+    report.generator_degrees_expected = shape.step(1)
 
     last_error = "no attempt ran"
     for attempt in range(MAX_RESEEDS + 1):

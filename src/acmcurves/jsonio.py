@@ -2,10 +2,10 @@
 
 A form is a list of [coefficient, [e0, ..., en]] pairs, sorted by exponent
 vector so that equal objects serialize to identical bytes. Matrix and ideal
-documents carry the modulus and variable count in their header. The
-decoders convert nothing themselves: PolyRing, PolyRing.form and FormMatrix
-read each number by ring._integer, as does the rows/cols check of a matrix
-header. Any refusal while decoding reads `malformed <kind> document: <reason>`.
+documents carry the modulus and variable count in their header. Every number
+is read by ring._integer, naming its field: in PolyRing, PolyRing.form and
+FormMatrix, and here for a header's rows/cols and an entry's first-term degree.
+Any refusal while decoding reads `malformed <kind> document: <reason>`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ def form_from_pairs(ring: PolyRing, degree: int, pairs) -> Form:
     return ring.form(degree, [(e, c) for c, e in pairs])
 
 
+def _first_term_degree(pairs) -> int:
+    """The degree of a document entry that gives none: its first term's."""
+    return sum(_integer(e, "exponent") for e in pairs[0][1])
+
+
 def matrix_to_doc(m: FormMatrix) -> dict:
     return {
         "p": m.ring.p,
@@ -57,10 +62,10 @@ def matrix_from_doc(doc: dict) -> FormMatrix:
         for i, row in enumerate(doc["entries"]):
             entries.append([])
             for j, pairs in enumerate(row):
-                degree = sum(pairs[0][1]) if pairs else 0 if deg is None else deg[i][j]
+                degree = _first_term_degree(pairs) if pairs else 0 if deg is None else deg[i][j]
                 entries[-1].append(form_from_pairs(ring, degree, pairs))
         m = FormMatrix(ring, entries, deg)
-        header = _integer(doc.get("rows", m.rows)), _integer(doc.get("cols", m.cols))
+        header = _integer(doc.get("rows", m.rows), "rows"), _integer(doc.get("cols", m.cols), "cols")
         if header != (m.rows, m.cols):
             raise ValueError(f"the header says {header[0]} x {header[1]}, "
                              f"the entries are {m.rows} x {m.cols}")
@@ -86,7 +91,7 @@ def ideal_from_doc(doc: dict) -> IdealPresentation:
         if not all(gens):
             raise ValueError("ideal documents may not contain zero generators")
         return IdealPresentation(ring=ring, generators=tuple(
-            form_from_pairs(ring, sum(pairs[0][1]) if degrees is None else degrees[k], pairs)
+            form_from_pairs(ring, _first_term_degree(pairs) if degrees is None else degrees[k], pairs)
             for k, pairs in enumerate(gens)))
 
 

@@ -8,23 +8,28 @@ Sign conventions are fixed once and documented here:
     the vector of principal Pfaffians lies in the kernel of the matrix.
 Ideal-level comparisons elsewhere are span-based and sign-agnostic.
 
-Maximal minors and Pfaffians come from batched subset tables. Level k of a
+Minors and Pfaffians come from one subset-table walk (_table). Level k of a
 table holds one value per k-element subset of columns (minors) or of rows
-(Pfaffians), the subset kept as a bitmask. A level is three arrays (masks,
-degrees, coeffs): the ascending masks of every subset that got a term, zero
-sums included, one degree per subset, and an int64 array whose row i holds
-subset i's coefficients, zero-padded to dim R_d for the level's largest
-degree d. A step to the next level lists its terms (sign, matrix entry e,
-source subset, target subset) and makes one exact product per entry and
-source degree b: the gathered rows, cut to dim R_b, times e.mul_matrix(b),
-the matrix of multiplication by e from R_b to R_{b + deg e}, the placement
-that Form products use too. Within one entry and source degree the targets
-are distinct, so one fancy-index add places every product. A target whose
-terms have two degrees means the matrix is not graded, and is refused with
-ValueError rather than summed into a mixed form. Form objects are made only
-for the results. Every other determinant (determinant, minor, and the
-blocks that construct assembles) is one Laplace expansion (laplace) against
-maximal minors from such a table.
+(Pfaffians), the subset kept as a bitmask. Both tables expand along their
+last row: a column set of size k along row k - 1, a row set along its
+highest row, each against every partner whose entry is nonzero. A top-down
+pass lists, level by level, the subsets that the roots reach this way, and
+refuses the table with ValueError before it expands a level once the
+subsets listed so far, times the number of rows or columns, pass
+MAX_ARRAY_ENTRIES. A bottom-up pass then builds the levels from the empty
+subset, whose value is 1. A level is positional, in the order of the
+top-down listing: one degree per subset, -1 for a subset that got no term,
+and an int64 array whose row i holds subset i's coefficients, zero-padded to
+dim R_d for the level's largest degree d. A step makes one exact product per
+entry e and source degree b: the gathered rows, cut to dim R_b, times
+e.mul_matrix(b), the matrix of multiplication by e from R_b to
+R_{b + deg e}, the placement that Form products use too. Within one entry
+and source degree the targets are distinct, so one fancy-index add places
+every product. A target whose terms have two degrees means the matrix is
+not graded, and is refused with ValueError rather than summed into a mixed
+form. Form objects are made only for the results. laplace expands one row
+against cofactors from such a table, for the blocks that construct
+assembles, where one table serves many determinants.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ class FormMatrix:
             degree_matrix = [[e.degree for e in row] for row in entries]
         elif len(degree_matrix) != rows or any(len(row) != cols for row in degree_matrix):
             raise ValueError(f"degree matrix must have the {rows}x{cols} shape of the entries")
-        degree_matrix = tuple(tuple(_integer(d) for d in row) for row in degree_matrix)
+        degree_matrix = tuple(tuple(_integer(d, "degree slot") for d in row) for row in degree_matrix)
         for i, row in enumerate(entries):
             for j, e in enumerate(row):
                 if e.ring != ring:
@@ -149,14 +154,10 @@ def laplace(row: Sequence[Form], cofactors: Sequence[Form], zero: Form) -> Form:
 
 
 def determinant(m: FormMatrix) -> Form:
-    """Expansion along row 0 against the maximal minors of rows 1..k-1."""
+    """The one minor of a square matrix, from its subset table."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if m.rows == 1:
-        return m.entries[0][0]
-    rest = FormMatrix(m.ring, m.entries[1:], m.degree_matrix[1:])
-    zero = m.ring.zero(_minor_degree(m, range(m.rows), range(m.cols)))
-    return laplace(m.entries[0], maximal_minors(rest), zero)
+    return _minors(m, [range(m.cols)])[0]
 
 
 def minor(m: FormMatrix, rowset: Sequence[int], colset: Sequence[int]) -> Form:
@@ -178,58 +179,75 @@ def maximal_minors(m: FormMatrix) -> list[Form]:
     """The rows+1 maximal minors of a t x (t+1) matrix.
 
     Ordered by deleted-column index ascending; computed through one batched
-    subset table (level k holds det(rows 0..k-1, columns S) for |S| = k), so
-    common subminors are evaluated once. Raises ValueError when a minor gets
-    terms of two degrees (a matrix that is not graded).
+    subset table, so common subminors are evaluated once. Raises ValueError
+    when a minor gets terms of two degrees (a matrix that is not graded).
     """
     if m.cols != m.rows + 1:
         raise ValueError(f"expected shape t x (t+1), got {m.rows} x {m.cols}")
-    _check_mask_width(m.cols)
-    level = _unit_level()
-    cols = np.arange(m.cols)
-    for k, row in enumerate(m.entries):
-        masks = level[0]
-        bits = masks[:, None] >> cols & 1
-        live = np.array([j for j, e in enumerate(row) if not e.is_zero], dtype=np.int64)
-        src, c = np.nonzero(bits[:, live] == 0)
-        j = live[c]
-        # entry (k, j) lands at position `below` of the new subset
-        below = (np.cumsum(bits, axis=1) - bits)[src, j]
-        level = _level_step(m.ring, level, row, src, j, (k + below) % 2 == 1,
-                            masks[src] | (1 << j))
-    full = (1 << m.cols) - 1
-    kept = [[j for j in range(m.cols) if j != dropped] for dropped in range(m.cols)]
-    return _level_values(m.ring, level, [full ^ (1 << j) for j in range(m.cols)],
-                         [_minor_degree(m, range(m.rows), cs) for cs in kept])
+    return _minors(m, [[j for j in range(m.cols) if j != dropped] for dropped in range(m.cols)])
 
 
-def _minor_degree(m: FormMatrix, rowset, colset) -> int:
-    rs, cs = sorted(rowset), sorted(colset)
-    return sum(m.degree_matrix[i][j] for i, j in zip(rs, cs))
+def _minor_degree(m: FormMatrix, colset: Sequence[int]) -> int:
+    """The declared degree of det(rows 0..k-1, sorted columns colset)."""
+    return sum(m.degree_matrix[i][j] for i, j in enumerate(colset))
 
 
-# ---- batched subset tables ----
+def _minors(m: FormMatrix, colsets: Sequence[Sequence[int]]) -> list[Form]:
+    """det(rows 0..k-1, columns cs) for each column set cs of size k = rows.
+    A column set of size k expands along row k - 1, against each of its
+    columns whose entry there is nonzero."""
+    n = m.cols
+    live = np.array([[not e.is_zero for e in row] for row in m.entries], dtype=np.int64)
+    span = np.arange(n)
 
-def _check_mask_width(n: int) -> None:
+    def expand(masks):
+        bits = masks[:, None] >> span & 1
+        k = int(masks[0]).bit_count() - 1
+        par, j = np.nonzero(bits * live[k])
+        below = (np.cumsum(bits, axis=1) - bits)[par, j]
+        return par, k * n + j, (k + below) % 2 == 1, masks[par] ^ (1 << j)
+
+    return _table(m.ring, [e for row in m.entries for e in row], n,
+                  [sum(1 << j for j in cs) for cs in colsets], expand,
+                  [_minor_degree(m, cs) for cs in colsets])
+
+
+# ---- the subset-table walk ----
+
+def _table(ring: PolyRing, entries: Sequence[Form], n: int, roots: Sequence[int],
+           expand, declared: Sequence[int]) -> list[Form]:
+    """The table's values on the subsets roots (bitmasks over n rows or
+    columns, of one size); a root that got no term is zero in its declared
+    degree.
+
+    expand(masks) lists the terms of one level, the ascending masks of its
+    subsets, as arrays (par, ent, neg, child): subset masks[par] gets
+    (-1)**neg * entries[ent] times subset child. ValueError, before a level
+    is expanded, once the subsets listed so far times n pass
+    MAX_ARRAY_ENTRIES.
+    """
     if n > 63:
         raise ValueError(f"subset tables index at most 63 rows or columns (int64 masks), got {n}")
-
-
-def _unit_level() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level 0: the empty subset with value 1, in degree 0."""
-    return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)
-
-
-def _level_values(ring: PolyRing, level: tuple, masks: Sequence[int],
-                  declared: Sequence[int]) -> list[Form]:
-    """The forms of the given subsets of the last level. A subset whose
-    terms cancelled is zero in their degree, one that got no term is zero in
-    its declared degree. Each form gets a copy of its row, so that it does
-    not hold the whole padded level."""
-    _, degrees, coeffs = level
-    found = _level_lookup(level, np.array(masks, dtype=np.int64)).tolist()
-    return [Form(ring, int(degrees[i]), coeffs[i, :ring.dim(int(degrees[i]))].copy())
-            if i >= 0 else ring.zero(d) for i, d in zip(found, declared)]
+    masks, where = _sorted_index(np.array(roots, dtype=np.int64))
+    steps, listed = [], 0
+    while len(masks) and masks[0]:
+        k = int(masks[0]).bit_count()
+        listed += len(masks)
+        if listed * n > MAX_ARRAY_ENTRIES:
+            raise ValueError(f"subset table level {k} too large: {listed} subsets down to it "
+                             f"times {n} rows or columns make {listed * n} "
+                             f"(the limit is {MAX_ARRAY_ENTRIES})")
+        par, ent, neg, child = expand(masks)
+        count = len(masks)
+        masks, src = _sorted_index(child)
+        steps.append((k, count, (src, ent, neg, par)))
+    level = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)  # the empty subset: 1
+    for k, count, terms in reversed(steps):
+        level = _level_step(ring, level, entries, terms, count, k)
+    # each form gets a copy of its row, so that it does not hold the whole padded level
+    degrees, coeffs = level[0].tolist(), level[1]
+    return [Form(ring, degrees[i], coeffs[i, :ring.dim(degrees[i])].copy())
+            if degrees[i] >= 0 else ring.zero(d) for i, d in zip(where.tolist(), declared)]
 
 
 def _sorted_index(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,41 +264,40 @@ def _sorted_index(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], pos
 
 
-def _level_step(ring: PolyRing, level: tuple, entries: Sequence[Form], src: np.ndarray,
-                ent: np.ndarray, neg: np.ndarray, tmask: np.ndarray) -> tuple:
-    """The next level of a subset table, from its terms.
-
-    Term m adds (-1)**neg[m] * entries[ent[m]] times subset src[m] of level
-    (a row index) to subset tmask[m]. The terms of one entry and one source
-    degree b are one product of their gathered rows, cut to dim R_b, with
-    the entry's mul_matrix; their targets are distinct, so a fancy-index add
-    places them in the float64 sums, which are reduced once.
-    Returns the next level: every subset that got a term, zero sums
-    included. ValueError, before anything of its size is allocated, when
-    its subsets would hold more than MAX_ARRAY_ENTRIES coefficients, counted
-    unpadded (verify --t 15 --r 1 peaks at 9,870,575; padded, 3.6% more).
+def _level_step(ring: PolyRing, level: tuple, entries: Sequence[Form], terms: tuple,
+                count: int, k: int) -> tuple:
+    """Level k of a subset table, its count subsets in the walk's order, from
+    the level below (module docstring). Term m of terms = (src, ent, neg,
+    tpos) adds (-1)**neg[m] * entries[ent[m]] times subset src[m] of level
+    to subset tpos[m]; a term whose source got no term is dropped. The terms
+    of one entry and one source degree make one product, placed by one
+    fancy-index add into float64 sums that are reduced once; zero sums keep
+    their degree. ValueError, before anything of its size is allocated, when
+    the subsets with a term would hold more than MAX_ARRAY_ENTRIES
+    coefficients, counted unpadded (verify --t 15 --r 1 peaks at 9,870,575).
     """
-    if len(src) == 0:  # the empty level: tmask is empty too
-        return tmask, tmask, np.zeros((0, 0), dtype=np.int64)
     p = ring.p
-    _, degrees, coeffs = level
+    degrees, coeffs = level
+    src, ent, neg, tpos = terms
+    live = degrees[src] >= 0
+    src, ent, neg, tpos = src[live], ent[live], neg[live], tpos[live]
+    tdeg = np.full(count, -1, dtype=np.int64)
+    if len(src) == 0:
+        return tdeg, np.zeros((count, 0), dtype=np.int64)
     used = np.flatnonzero(np.bincount(ent))
     edeg = np.zeros(used[-1] + 1, dtype=np.int64)
-    edeg[used] = [entries[k].degree for k in used.tolist()]
+    edeg[used] = [entries[e].degree for e in used.tolist()]
     sdeg = degrees[src]
     deg = sdeg + edeg[ent]
-    targets, tpos = _sorted_index(tmask)
-    tdeg = np.empty(len(targets), dtype=np.int64)
     tdeg[tpos] = deg
     bad = np.flatnonzero(tdeg[tpos] != deg)
     if len(bad):
         hit = deg[tpos == tpos[bad[0]]]
         raise ValueError(f"degree mismatch: {hit.min()} vs {hit.max()} (matrix not graded)")
-    size = sum(int(n) * ring.dim(d) for d, n in enumerate(np.bincount(tdeg)) if n)
+    size = sum(int(c) * ring.dim(d) for d, c in enumerate(np.bincount(tdeg + 1), -1) if c)
     if size > MAX_ARRAY_ENTRIES:
-        raise ValueError(f"subset table level {int(targets[0]).bit_count()} too large: "
-                         f"{len(targets)} subsets hold {size} coefficients "
-                         f"(the limit is {MAX_ARRAY_ENTRIES})")
+        raise ValueError(f"subset table level {k} too large: {count} subsets hold {size} "
+                         f"coefficients (the limit is {MAX_ARRAY_ENTRIES})")
     # a target's sum is one inner product over its terms' products, each of
     # at most dim R_{deg e} residue pairs; while that is float-exact the level
     # is reduced once, otherwise _mulmod reduces each product first
@@ -291,7 +308,7 @@ def _level_step(ring: PolyRing, level: tuple, entries: Sequence[Form], src: np.n
     first = order[cuts[:-1]]
     rows, dest = src[order], tpos[order]
     sign = np.where(neg[order], -1.0, 1.0)[:, None]
-    sums = np.zeros((len(targets), ring.dim(int(tdeg.max()))))
+    sums = np.zeros((count, ring.dim(int(tdeg.max()))))
     for lo, hi, e, b in zip(cuts, cuts[1:], ent[first].tolist(), sdeg[first].tolist()):
         e = entries[e]
         x = coeffs[rows[lo:hi], :ring.dim(b)]
@@ -301,59 +318,32 @@ def _level_step(ring: PolyRing, level: tuple, entries: Sequence[Form], src: np.n
         sums[dest[lo:hi], :prod.shape[1]] += prod
     out = sums.astype(np.int64)
     out %= p
-    return targets, tdeg, out
-
-
-def _level_lookup(level: tuple, masks: np.ndarray) -> np.ndarray:
-    """Row of each mask in level, -1 where it is absent."""
-    have = np.append(level[0], -1)  # no mask is -1, so a miss reads the end
-    pos = np.searchsorted(level[0], masks)
-    return np.where(have[pos] == masks, pos, -1)
+    return tdeg, out
 
 
 # ---- Pfaffians ----
 
 def _pfaffians(g: SkewFormMatrix, roots: Sequence[int]) -> list[Form]:
     """Pfaffians of the principal submatrices of g on the row sets roots
-    (bitmasks of one even size).
-
-    A top-down pass enumerates the subsets the expansion reaches: each one
-    expands along its row with the most zero entries inside it (the last
-    such row on ties; block layouts with forced zero corners collapse much
-    faster this way), against every partner whose entry is nonzero. A
-    bottom-up pass then builds the subset table two rows at a time, with one
-    product per (row, partner, source degree).
-    """
-    ring, n = g.ring, g.size
-    _check_mask_width(n)
-    zero = np.array([[e.is_zero for e in row] for row in g.entries], dtype=np.float64)
+    (bitmasks of one even size). A row set expands along its highest row,
+    against each partner whose entry there is nonzero; in the skew_matrix_G
+    layout that is a row of the zero lower-right block while one is left."""
+    n = g.size
+    live = np.array([[not e.is_zero for e in row] for row in g.entries], dtype=np.int64)
     span = np.arange(n)
-    masks, _ = _sorted_index(np.array(roots, dtype=np.int64))
-    down = []
-    for _ in range(int(masks[0]).bit_count() // 2):
+
+    def expand(masks):
         bits = masks[:, None] >> span & 1
-        # zero entries of each row inside the subset; the diagonal is zero,
-        # so a row of the subset counts at least one and any other row none
-        zeros = (bits @ zero.T) * bits
-        pivot = n - 1 - np.argmax(zeros[:, ::-1], axis=1)
-        par, j = np.nonzero(bits * (zero[pivot] == 0))
-        down.append((masks, pivot, par, j))
-        masks, _ = _sorted_index(masks[par] & ~(1 << pivot[par]) & ~(1 << j))
-    level = _unit_level()
-    flat = [e for row in g.entries for e in row]
-    for masks, pivot, par, j in reversed(down):
-        i = pivot[par]
-        top = masks[par]
-        src = _level_lookup(level, top & ~(1 << i) & ~(1 << j))
-        ok = src >= 0
-        # move row i to the front ((-1)**its position), then expand along
-        # the first row against the partner at (1-based) position newpos
-        bits = masks[:, None] >> span & 1
-        below = np.cumsum(bits, axis=1) - bits
-        newpos = below[par, j] - (i < j) + 1
-        neg = (below[par, i] + newpos + 1) % 2 == 1
-        level = _level_step(ring, level, flat, src[ok], (i * n + j)[ok], neg[ok], top[ok])
-    return _level_values(ring, level, roots, [0] * len(roots))
+        top = n - 1 - np.argmax(bits[:, ::-1], axis=1)
+        par, j = np.nonzero(bits * live[top])
+        # along the last of an even number of rows, the partner at position q
+        # (from 0) has the sign (-1)**(q + 1)
+        below = (np.cumsum(bits, axis=1) - bits)[par, j]
+        i = top[par]
+        return par, i * n + j, below % 2 == 0, masks[par] ^ (1 << i) ^ (1 << j)
+
+    return _table(g.ring, [e for row in g.entries for e in row], n, roots, expand,
+                  [0] * len(roots))
 
 
 def pfaffian(m: SkewFormMatrix) -> Form:

@@ -35,9 +35,10 @@ MAX_FORM_DIM = 100_000
 
 # Most entries one dense array of coefficients may hold, 80 MB as float64:
 # a dual basis Psi_e of the Hilbert lift, a level of a subset table of
-# matforms, or the matrix of a form product (Form.mul_matrix). The degree-10
-# surface at its default cutoff 24 needs 2925 x 2365, verify (4,1,3)
-# 2600 x 840, and the Pfaffians of verify --t 15 --r 1 a level of 9.87M.
+# matforms, or the matrix of a form product (Form.mul_matrix); and the most
+# subsets times width a subset-table walk may list. The degree-10 surface at
+# its default cutoff 24 needs 2925 x 2365, verify (4,1,3) 2600 x 840, and the
+# Pfaffians of verify --t 15 --r 1 a level of 9.87M.
 MAX_ARRAY_ENTRIES = 100 * MAX_FORM_DIM
 
 
@@ -65,15 +66,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _integer(value) -> int:
+def _integer(value, label: str) -> int:
     """The one rule for a number from outside, applied by the constructor that
-    owns it: an int, a numpy integer or an integral float (2.0 reads as 2) is
-    an int; a fraction, NaN, inf, a bool, a string or anything else is refused
-    with ValueError, never truncated or parsed."""
+    owns it and names it by label: an int, a numpy integer or an integral float
+    (2.0 reads as 2) is an int; a fraction, NaN, inf, a bool, a string or
+    anything else is refused with ValueError, "<value> is not an integer (<label>)"."""
     integral = ((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
                 or (isinstance(value, float) and value.is_integer()))
     if not integral:
-        raise ValueError(f"{value!r} is not an integer")
+        raise ValueError(f"{value!r} is not an integer ({label})")
     return int(value)
 
 
@@ -142,7 +143,7 @@ class PolyRing:
     """
 
     def __init__(self, p: int = DEFAULT_PRIME, nvars: int = 4):
-        p, nvars = _integer(p), _integer(nvars)
+        p, nvars = _integer(p, "modulus"), _integer(nvars, "variable count")
         if not (2 < p < 2**31):
             raise ValueError(f"modulus must satisfy 2 < p < 2**31, got {p}")
         if not is_prime(p):
@@ -187,17 +188,17 @@ class PolyRing:
         repeated monomials mod p; the degree, exponents and coefficients are
         read by _integer. A degree whose monomial basis exceeds MAX_FORM_DIM
         is refused before anything is allocated."""
-        degree = _integer(degree)
+        degree = _integer(degree, "degree")
         items = terms.items() if isinstance(terms, dict) else terms
         monos, coefs = [], []
         for mono, coef in items:
-            mono = tuple(map(_integer, mono))
+            mono = tuple(_integer(e, "exponent") for e in mono)
             if len(mono) != self.nvars or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono}")
             if sum(mono) != degree:
                 raise ValueError(f"monomial {mono} has degree {sum(mono)}, expected {degree}")
             monos.append(mono)
-            coefs.append(_integer(coef) % self.p)
+            coefs.append(_integer(coef, "coefficient") % self.p)
         coeffs = np.zeros(self.dim(degree), dtype=np.int64)
         if monos:
             np.add.at(coeffs, _rank(self.nvars, degree, np.array(monos, dtype=np.int64)), coefs)
@@ -211,7 +212,7 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, c: int) -> Form:
-        return Form(self, 0, np.array([_integer(c) % self.p], dtype=np.int64))
+        return Form(self, 0, np.array([_integer(c, "coefficient") % self.p], dtype=np.int64))
 
     def variable(self, i: int) -> Form:
         if not 0 <= i < self.nvars:
@@ -221,7 +222,7 @@ class PolyRing:
         return Form(self, 1, coeffs)
 
     def monomial(self, exps: Sequence[int], coef: int = 1) -> Form:
-        exps = tuple(map(_integer, exps))
+        exps = tuple(_integer(e, "exponent") for e in exps)
         return self.form(sum(exps), [(exps, coef)])
 
 
@@ -324,7 +325,7 @@ class Form:
         return out
 
     def scale(self, c: int) -> Form:
-        c = _integer(c) % self.ring.p
+        c = _integer(c, "scalar") % self.ring.p
         if c == 0:
             return self.ring.zero(self.degree)
         if c == 1:
@@ -337,7 +338,7 @@ class Form:
         p = self.ring.p
         exps = self.ring.exps(self.degree)
         vals = self.coeffs
-        for v, x in enumerate(map(_integer, point)):
+        for v, x in enumerate(_integer(x, "coordinate") for x in point):
             powers = np.array([pow(x, e, p) for e in range(self.degree + 1)], dtype=np.int64)
             vals = vals * powers[exps[:, v]] % p
         return int(vals.sum() % p)

@@ -244,6 +244,8 @@ class TestHilbertInput:
         pytest.param({"p": 32003, "generators": {"p": 32003, "nvars": 4, "degrees": [1],
                                                  "generators": [[[1, [1, 0, 0, 0]]]]}},
                      id="construct-stdout-nesting"),
+        pytest.param({"p": 32003, "nvars": 4, "generators": [[[1, [1, "0", 0, 0]]]]},
+                     id="string-exponent-setting-the-degree"),
     ])
     def test_malformed_document_exit_2(self, capsys, tmp_path, doc):
         path = tmp_path / "ideal.json"
@@ -252,6 +254,19 @@ class TestHilbertInput:
         assert code == 2
         assert out == ""
         assert "error: malformed ideal document" in err
+
+    @pytest.mark.parametrize("doc,reason", [
+        ({"p": "32003", "nvars": 4, "generators": [[[1, [1, 0, 0, 0]]]]},
+         "'32003' is not an integer (modulus)"),
+        ({"p": 32003, "nvars": 4, "generators": [[["32003", [1, 0, 0, 0]]]]},
+         "'32003' is not an integer (coefficient)"),
+    ], ids=["modulus", "coefficient"])
+    def test_refused_number_names_its_field(self, capsys, tmp_path, doc, reason):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "hilbert", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: malformed ideal document: {reason}\n"
 
     def test_false_plateau_refused(self, capsys, tmp_path):
         gens = [[[1, [1, 0, 0, 0]]], [[1, [0, 1, 0, 0]]], [[1, [0, 0, 2, 0]]],
@@ -372,13 +387,14 @@ class TestVerify:
                               text=True, timeout=60)
 
     def test_huge_t_exits_2_before_the_subset_tables_grow(self):
-        # level 5 of the maximal-minor table of t = 40 would hold 36.8M
-        # coefficients, above MAX_ARRAY_ENTRIES; it is refused before it is
-        # allocated
+        # the walk lists the table of the 39 x 40 M_small from its roots
+        # (level 39) down; by level 35 it has listed 760,098 column sets,
+        # which times 40 columns passes MAX_ARRAY_ENTRIES, so it is refused
+        # before that level is expanded
         started = time.monotonic()
         proc = self._verify_capped("--t", "40", "--r", "1")
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: subset table level 5 too large")
+        assert proc.stderr.startswith("error: subset table level 35 too large")
         assert time.monotonic() - started < 20
 
     def test_huge_d_exits_2_before_a_product_matrix_grows(self):

@@ -113,6 +113,9 @@ def test_degree_read_off_integral_exponents(ring, kind, wrap, read):
     assert read(decode(doc(1.0))) == ring.variable(0)
     with pytest.raises(ValueError, match=f"malformed {kind} document: 1.5 is not an integer"):
         decode(doc(1.5))
+    # an exponent that sets the degree is read by the same rule, and named
+    with pytest.raises(ValueError, match=rf"{kind} document: '1' is not an integer \(exponent\)$"):
+        decode(doc("1"))
 
 
 def test_canonical_dumps_is_stable():

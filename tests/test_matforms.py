@@ -1,6 +1,15 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
+
+import acmcurves
 
 from acmcurves import matforms
 from acmcurves.construct import build_uniform_pair, skew_matrix_G
@@ -398,8 +407,8 @@ class TestSkewAndPfaffian:
         assert determinant(FormMatrix(ring, g.entries)).is_zero
 
     def test_principal_pfaffians_match_first_row_reference(self):
-        """The production table picks its expansion row adaptively; check
-        its output against a plain first-row expansion."""
+        """The production table expands each row set along its highest row;
+        check its output against a plain first-row expansion."""
 
         def reference_pf(entries, subset):
             if not subset:
@@ -428,6 +437,12 @@ class TestSkewAndPfaffian:
             # entries of degree (r+1)d against d in the upper-right block
             cases += [skew_matrix_G(build_uniform_pair(t, r, d, rng, ring=ring))
                       for t, r, d in ((3, 1, 1), (4, 1, 1), (4, 2, 1), (3, 1, 2))]
+            # a zero last row and column: every row set holding row 6 gets no
+            # term at its first expansion step
+            x = [ring.variable(v) for v in range(4)]
+            cases.append(SkewFormMatrix.from_upper(ring, 7, {
+                (i, j): x[(i + 2 * j) % 4].scale(i + j + 1)
+                for i in range(6) for j in range(i + 1, 6)}))
             for g in cases:
                 got = principal_pfaffians(g)
                 full = tuple(range(g.size))
@@ -436,3 +451,35 @@ class TestSkewAndPfaffian:
                     if i % 2:
                         ref = -ref
                     assert got[i] == ref
+
+
+def test_generic_35x35_principal_pfaffians_refused_before_they_grow():
+    """The walk counts the row sets it lists and refuses the table once they,
+    times the 35 rows, pass MAX_ARRAY_ENTRIES; run in a child whose address
+    space is capped at 2 GiB, so a table that grows instead fails the test,
+    not the host."""
+    def cap_memory():
+        limit = 2 * 1024**3
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    script = textwrap.dedent("""
+        import random
+        from acmcurves.matforms import SkewFormMatrix, principal_pfaffians
+        from acmcurves.ring import PolyRing, random_form
+        ring, rng = PolyRing(), random.Random(35)
+        g = SkewFormMatrix.from_upper(ring, 35, {(i, j): random_form(1, ring, rng)
+                                                 for i in range(35) for j in range(i + 1, 35)})
+        try:
+            principal_pfaffians(g)
+        except ValueError as exc:
+            print(exc)
+    """)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(acmcurves.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", script], env=env, preexec_fn=cap_memory,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("subset table level ")
+    assert time.monotonic() - started < 20
