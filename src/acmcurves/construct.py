@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .formulas import check_construction
 from .hilbert import IdealPresentation
 from .matforms import FormMatrix, SkewFormMatrix, laplace, maximal_minors
 from .ring import DEFAULT_PRIME, Form, PolyRing, random_form
@@ -36,7 +37,7 @@ class ConstructionPair:
 
     def __post_init__(self):
         t, r, d = self.t, self.r, self.d
-        _check_params(t, r, d)
+        check_construction(t, r, d)
         if (self.m_small.rows, self.m_small.cols) != (t - r, t - r + 1):
             raise ValueError("M_small has the wrong shape")
         if (self.m_big.rows, self.m_big.cols) != (t, t + 1):
@@ -49,15 +50,6 @@ class ConstructionPair:
             for k in range(t - r):
                 if not self.m_big.entry(i, r + 1 + k).is_zero:
                     raise ValueError(f"zero block violated at ({i},{k})")
-
-
-def _check_params(t: int, r: int, d: int) -> None:
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    if not 1 <= r <= t - 1:
-        raise ValueError(f"need 1 <= r <= t-1, got r={r} at t={t}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
 
 
 def _random_matrix(ring: PolyRing, rows: int, cols: int, d: int, rng: random.Random) -> FormMatrix:
@@ -80,7 +72,7 @@ def embed_pair(m_small: FormMatrix, t: int, rng: random.Random) -> ConstructionP
     if len(degs) != 1:
         raise ValueError("small matrix entries must share one degree")
     d = degs.pop()
-    _check_params(t, r, d)
+    check_construction(t, r, d)
     zero = ring.zero(d)
     ent = []
     for i in range(t):
@@ -97,7 +89,7 @@ def embed_pair(m_small: FormMatrix, t: int, rng: random.Random) -> ConstructionP
 def build_uniform_pair(t: int, r: int, d: int, rng: random.Random,
                        ring: PolyRing | None = None) -> ConstructionPair:
     """Random construction pair with all entries of degree d."""
-    _check_params(t, r, d)
+    check_construction(t, r, d)
     if ring is None:
         ring = PolyRing(DEFAULT_PRIME, 4)
     m_small = _random_matrix(ring, t - r, t - r + 1, d, rng)

@@ -19,25 +19,33 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _check_linear_range(t: int, r: int) -> None:
+def _check_range(t: int, r: int, d: int = 1) -> None:
     if t < 2:
         raise ValueError(f"need t >= 2, got t={t}")
     if not 0 <= r <= t - 1:
         raise ValueError(f"need 0 <= r <= t-1, got r={r} at t={t}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
+
+
+def check_construction(t: int, r: int, d: int = 1) -> None:
+    """The one rule for the (t, r, d) of a construction pair: t >= 2,
+    1 <= r <= t-1 and d >= 1; ValueError otherwise."""
+    _check_range(t, r, d)
+    if r == 0:
+        raise ValueError("r = 0 has no intersection construction")
 
 
 def bound_linear(t: int, r: int) -> int:
     """Sharp count for curves from linear-entry matrices of sizes t and t-r:
     2*C(t+2-r, 3) + (r-1)*C(t+1-r, 2)."""
-    _check_linear_range(t, r)
+    _check_range(t, r)
     return 2 * binom(t + 2 - r, 3) + (r - 1) * binom(t + 1 - r, 2)
 
 
 def bound_uniform(d: int, t: int, r: int) -> int:
     """Degree-d analogue of bound_linear; reduces to it at d = 1."""
-    _check_linear_range(t, r)
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
+    _check_range(t, r, d)
     return (binom(d * (2 * t - r + 1), 3)
             - (t - r + 1) * binom(d * (t + 1), 3)
             - (t - r) * binom(d * (t - r + 1), 3)
@@ -55,9 +63,7 @@ def deg_acm(t: int, d: int = 1) -> int:
 def h_vector_gorenstein(t: int, r: int) -> tuple[int, ...]:
     """h-vector of the linear-case intersection: 1, 3, 6, ... rising to a flat
     middle of r+1 copies of C(t-r+1, 2), then mirrored; socle degree 2t-r-2."""
-    _check_linear_range(t, r)
-    if r == 0:
-        raise ValueError("r = 0 has no intersection construction")
+    check_construction(t, r)
     s = 2 * t - r - 2
     flat = binom(t - r + 1, 2)
     h = []
@@ -111,11 +117,7 @@ def expected_betti(t: int, r: int, d: int = 1) -> BettiShape:
     """Resolution shape of the constructed codimension-3 Gorenstein ideal:
     generators in degrees d(t-r) and dt, syzygies at d(t-r+1) and d(t+1),
     top twist d(2t-r+1)."""
-    _check_linear_range(t, r)
-    if r == 0:
-        raise ValueError("r = 0 has no intersection construction")
-    if d < 1:
-        raise ValueError("need d >= 1")
+    check_construction(t, r, d)
     return BettiShape(
         codimension=3,
         terms=(

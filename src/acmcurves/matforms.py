@@ -8,28 +8,31 @@ Sign conventions are fixed once and documented here:
     the vector of principal Pfaffians lies in the kernel of the matrix.
 Ideal-level comparisons elsewhere are span-based and sign-agnostic.
 
-Minors and Pfaffians come from one subset-table walk (_table). Level k of a
-table holds one value per k-element subset of columns (minors) or of rows
-(Pfaffians), the subset kept as a bitmask. Both tables expand along their
-last row: a column set of size k along row k - 1, a row set along its
-highest row, each against every partner whose entry is nonzero. A top-down
-pass lists, level by level, the subsets that the roots reach this way, and
-refuses the table with ValueError before it expands a level once the
-subsets listed so far, times the number of rows or columns, pass
-MAX_ARRAY_ENTRIES. A bottom-up pass then builds the levels from the empty
-subset, whose value is 1. A level is positional, in the order of the
-top-down listing: one degree per subset, -1 for a subset that got no term,
-and an int64 array whose row i holds subset i's coefficients, zero-padded to
-dim R_d for the level's largest degree d. A step makes one exact product per
-entry e and source degree b: the gathered rows, cut to dim R_b, times
-e.mul_matrix(b), the matrix of multiplication by e from R_b to
-R_{b + deg e}, the placement that Form products use too. Within one entry
-and source degree the targets are distinct, so one fancy-index add places
-every product. A target whose terms have two degrees means the matrix is
-not graded, and is refused with ValueError rather than summed into a mixed
-form. Form objects are made only for the results. laplace expands one row
-against cofactors from such a table, for the blocks that construct
-assembles, where one table serves many determinants.
+Minors and Pfaffians come from one subset-table walk (_table) over the
+principal Pfaffians of a skew matrix. A minor is read off the bordered skew
+matrix B = [[0, -M^T], [M, 0]], columns first: det of rows R and columns C,
+|R| = |C| = k, is (-1)**(k(k+1)/2) Pf(B on C and R). Level k of a table
+holds one value per k-element row set, kept as a bitmask, and a row set
+expands along its highest row against every partner whose entry is nonzero;
+for a minor that row is a row of M, so the walk reads only the block M (the
+block -M^T is not built) and lists the same column sets as an expansion
+along the last row of M. A top-down pass lists, level by level, the row
+sets that the roots reach this way, and refuses the table with ValueError
+before it expands a level once the sets listed so far, times the size of
+the matrix, pass MAX_ARRAY_ENTRIES. A bottom-up pass then builds the levels
+from the empty set, whose value is 1. A level is positional, in the order of the top-down
+listing: one degree per set, -1 for a set that got no term, and an int64
+array whose row i holds set i's coefficients, zero-padded to dim R_d for the
+level's largest degree d. A step makes one exact product per entry e and
+source degree b: the gathered rows, cut to dim R_b, times e.mul_matrix(b),
+the matrix of multiplication by e from R_b to R_{b + deg e}, the placement
+that Form products use too. Within one entry and source degree the targets
+are distinct, so one fancy-index add places every product. A target whose
+terms have two degrees means the matrix is not graded, and is refused with
+ValueError rather than summed into a mixed form. Form objects are made only
+for the results. laplace expands one row against cofactors from such a
+table, for the blocks that construct assembles, where one table serves many
+determinants.
 """
 
 from __future__ import annotations
@@ -120,24 +123,23 @@ class SkewFormMatrix(FormMatrix):
 
     @classmethod
     def from_upper(cls, ring: PolyRing, size: int, upper: dict) -> SkewFormMatrix:
-        """Build from a map {(i, j): form} with i < j; the rest is implied."""
+        """Build from a map {(i, j): form} with 0 <= i < j < size; the rest is implied."""
         zero = ring.zero()
         grid = [[zero for _ in range(size)] for _ in range(size)]
         for (i, j), f in upper.items():
+            if not (0 <= i < size and 0 <= j < size):
+                raise ValueError(f"index pair ({i}, {j}) outside 0..{size - 1}")
             if not i < j:
-                raise ValueError("upper entries need i < j")
+                raise ValueError(f"upper entries need i < j, got ({i}, {j})")
             grid[i][j] = f
             grid[j][i] = -f
         return cls(ring, grid)
 
     def with_entry(self, i: int, j: int, f: Form) -> SkewFormMatrix:
         """Copy with the (i, j) upper entry replaced (and (j, i) kept skew)."""
-        if not i < j:
-            raise ValueError("replace an upper entry: need i < j")
-        grid = [list(row) for row in self.entries]
-        grid[i][j] = f
-        grid[j][i] = -f
-        return SkewFormMatrix(self.ring, grid)
+        n = self.size
+        upper = {(a, b): self.entries[a][b] for a in range(n) for b in range(a + 1, n)}
+        return SkewFormMatrix.from_upper(self.ring, n, {**upper, (i, j): f})
 
 
 # ---- determinants of form matrices ----
@@ -187,48 +189,40 @@ def maximal_minors(m: FormMatrix) -> list[Form]:
     return _minors(m, [[j for j in range(m.cols) if j != dropped] for dropped in range(m.cols)])
 
 
-def _minor_degree(m: FormMatrix, colset: Sequence[int]) -> int:
-    """The declared degree of det(rows 0..k-1, sorted columns colset)."""
-    return sum(m.degree_matrix[i][j] for i, j in enumerate(colset))
-
-
 def _minors(m: FormMatrix, colsets: Sequence[Sequence[int]]) -> list[Form]:
-    """det(rows 0..k-1, columns cs) for each column set cs of size k = rows.
-    A column set of size k expands along row k - 1, against each of its
-    columns whose entry there is nonzero."""
-    n = m.cols
-    live = np.array([[not e.is_zero for e in row] for row in m.entries], dtype=np.int64)
-    span = np.arange(n)
-
-    def expand(masks):
-        bits = masks[:, None] >> span & 1
-        k = int(masks[0]).bit_count() - 1
-        par, j = np.nonzero(bits * live[k])
-        below = (np.cumsum(bits, axis=1) - bits)[par, j]
-        return par, k * n + j, (k + below) % 2 == 1, masks[par] ^ (1 << j)
-
-    return _table(m.ring, [e for row in m.entries for e in row], n,
-                  [sum(1 << j for j in cs) for cs in colsets], expand,
-                  [_minor_degree(m, cs) for cs in colsets])
+    """det(rows 0..k-1, columns cs) for each column set cs of size k = rows,
+    as the signed Pfaffian of the bordered skew matrix (module docstring);
+    a zero minor has the degree of the slots (i, cs[i]). Every set expands
+    along a row of M, so the walk never reads the block -M^T, and it is
+    left zero rather than built."""
+    r, c = m.rows, m.cols
+    zero = m.ring.zero()
+    bordered = [[zero] * (c + r)] * c + [[*row, *[zero] * r] for row in m.entries]
+    rows = ((1 << r) - 1) << c
+    pfs = _table(m.ring, bordered, [rows | sum(1 << j for j in cs) for cs in colsets],
+                 [sum(m.degree_matrix[i][j] for i, j in enumerate(cs)) for cs in colsets])
+    return [-pf for pf in pfs] if r * (r + 1) // 2 % 2 else pfs
 
 
 # ---- the subset-table walk ----
 
-def _table(ring: PolyRing, entries: Sequence[Form], n: int, roots: Sequence[int],
-           expand, declared: Sequence[int]) -> list[Form]:
-    """The table's values on the subsets roots (bitmasks over n rows or
-    columns, of one size); a root that got no term is zero in its declared
-    degree.
-
-    expand(masks) lists the terms of one level, the ascending masks of its
-    subsets, as arrays (par, ent, neg, child): subset masks[par] gets
-    (-1)**neg * entries[ent] times subset child. ValueError, before a level
-    is expanded, once the subsets listed so far times n pass
-    MAX_ARRAY_ENTRIES.
+def _table(ring: PolyRing, grid: Sequence[Sequence[Form]], roots: Sequence[int],
+           declared: Sequence[int]) -> list[Form]:
+    """The Pfaffians of the n x n skew matrix grid on the row sets roots
+    (bitmasks of one even size); a root that got no term is zero in its
+    declared degree. A row set expands along its highest row i: the partner
+    j at position q (from 0) gives (-1)**(q + 1) * grid[i][j] times the set
+    without i and j; no other entry is read. ValueError, before a level is
+    expanded, once the sets listed so far times n pass MAX_ARRAY_ENTRIES.
     """
+    n = len(grid)
     if n > 63:
         raise ValueError(f"subset tables index at most 63 rows or columns (int64 masks), got {n}")
-    masks, where = _sorted_index(np.array(roots, dtype=np.int64))
+    entries = [e for row in grid for e in row]
+    live = np.array([not e.is_zero for e in entries], dtype=np.int64).reshape(n, n)
+    edeg = np.array([e.degree for e in entries], dtype=np.int64)
+    span = np.arange(n)
+    masks, where = np.unique(np.array(roots, dtype=np.int64), return_inverse=True)
     steps, listed = [], 0
     while len(masks) and masks[0]:
         k = int(masks[0]).bit_count()
@@ -237,56 +231,43 @@ def _table(ring: PolyRing, entries: Sequence[Form], n: int, roots: Sequence[int]
             raise ValueError(f"subset table level {k} too large: {listed} subsets down to it "
                              f"times {n} rows or columns make {listed * n} "
                              f"(the limit is {MAX_ARRAY_ENTRIES})")
-        par, ent, neg, child = expand(masks)
+        bits = masks[:, None] >> span & 1
+        top = n - 1 - np.argmax(bits[:, ::-1], axis=1)
+        par, j = np.nonzero(bits * live[top])
+        below = (np.cumsum(bits, axis=1) - bits)[par, j]
+        ent = top[par] * n + j
         count = len(masks)
-        masks, src = _sorted_index(child)
-        steps.append((k, count, (src, ent, neg, par)))
-    level = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)  # the empty subset: 1
+        masks, src = np.unique(masks[par] ^ (1 << top[par]) ^ (1 << j), return_inverse=True)
+        steps.append((k, count, (src, ent, below % 2 == 0, par)))
+    level = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)  # the empty set: 1
     for k, count, terms in reversed(steps):
-        level = _level_step(ring, level, entries, terms, count, k)
+        level = _level_step(ring, level, entries, edeg, terms, count, k)
     # each form gets a copy of its row, so that it does not hold the whole padded level
     degrees, coeffs = level[0].tolist(), level[1]
     return [Form(ring, degrees[i], coeffs[i, :ring.dim(degrees[i])].copy())
             if degrees[i] >= 0 else ring.zero(d) for i, d in zip(where.tolist(), declared)]
 
 
-def _sorted_index(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct masks in ascending order, and the position of each input
-    among them. Sorted by the stable argsort that hilbert already runs: the
-    first call of np.unique loads sort or hash code that nothing else on the
-    path uses, 0.4-1.4 MB of resident pages."""
-    order = np.argsort(masks, kind="stable")
-    ordered = masks[order]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    pos = np.empty(len(ordered), dtype=np.int64)
-    pos[order] = np.cumsum(first) - 1
-    return ordered[first], pos
-
-
-def _level_step(ring: PolyRing, level: tuple, entries: Sequence[Form], terms: tuple,
-                count: int, k: int) -> tuple:
-    """Level k of a subset table, its count subsets in the walk's order, from
+def _level_step(ring: PolyRing, level: tuple, entries: Sequence[Form], edeg: np.ndarray,
+                terms: tuple, count: int, k: int) -> tuple:
+    """Level k of a subset table, its count sets in the walk's order, from
     the level below (module docstring). Term m of terms = (src, ent, neg,
-    tpos) adds (-1)**neg[m] * entries[ent[m]] times subset src[m] of level
-    to subset tpos[m]; a term whose source got no term is dropped. The terms
-    of one entry and one source degree make one product, placed by one
-    fancy-index add into float64 sums that are reduced once; zero sums keep
-    their degree. ValueError, before anything of its size is allocated, when
-    the subsets with a term would hold more than MAX_ARRAY_ENTRIES
-    coefficients, counted unpadded (verify --t 15 --r 1 peaks at 9,870,575).
+    tpos) adds (-1)**neg[m] * entries[ent[m]], of degree edeg[ent[m]], times
+    set src[m] of level to set tpos[m]; a term whose source got no term is
+    dropped. The terms of one entry and one source degree make one product,
+    placed by one fancy-index add into float64 sums that are reduced once;
+    zero sums keep their degree. ValueError, before anything of its size is
+    allocated, when the sets with a term would hold more than
+    MAX_ARRAY_ENTRIES coefficients, counted unpadded (verify --t 15 --r 1
+    peaks at 9,870,575).
     """
     p = ring.p
     degrees, coeffs = level
-    src, ent, neg, tpos = terms
-    live = degrees[src] >= 0
-    src, ent, neg, tpos = src[live], ent[live], neg[live], tpos[live]
+    keep = degrees[terms[0]] >= 0
+    src, ent, neg, tpos = (a[keep] for a in terms)
     tdeg = np.full(count, -1, dtype=np.int64)
     if len(src) == 0:
         return tdeg, np.zeros((count, 0), dtype=np.int64)
-    used = np.flatnonzero(np.bincount(ent))
-    edeg = np.zeros(used[-1] + 1, dtype=np.int64)
-    edeg[used] = [entries[e].degree for e in used.tolist()]
     sdeg = degrees[src]
     deg = sdeg + edeg[ent]
     tdeg[tpos] = deg
@@ -301,7 +282,7 @@ def _level_step(ring: PolyRing, level: tuple, entries: Sequence[Form], terms: tu
     # a target's sum is one inner product over its terms' products, each of
     # at most dim R_{deg e} residue pairs; while that is float-exact the level
     # is reduced once, otherwise _mulmod reduces each product first
-    raw = _float_exact(int(np.bincount(tpos).max()) * ring.dim(int(edeg.max())), p)
+    raw = _float_exact(int(np.bincount(tpos).max()) * ring.dim(int(edeg[ent].max())), p)
     key = ent * (int(degrees.max()) + 1) + sdeg
     order = np.argsort(key, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(order)]
@@ -323,34 +304,11 @@ def _level_step(ring: PolyRing, level: tuple, entries: Sequence[Form], terms: tu
 
 # ---- Pfaffians ----
 
-def _pfaffians(g: SkewFormMatrix, roots: Sequence[int]) -> list[Form]:
-    """Pfaffians of the principal submatrices of g on the row sets roots
-    (bitmasks of one even size). A row set expands along its highest row,
-    against each partner whose entry there is nonzero; in the skew_matrix_G
-    layout that is a row of the zero lower-right block while one is left."""
-    n = g.size
-    live = np.array([[not e.is_zero for e in row] for row in g.entries], dtype=np.int64)
-    span = np.arange(n)
-
-    def expand(masks):
-        bits = masks[:, None] >> span & 1
-        top = n - 1 - np.argmax(bits[:, ::-1], axis=1)
-        par, j = np.nonzero(bits * live[top])
-        # along the last of an even number of rows, the partner at position q
-        # (from 0) has the sign (-1)**(q + 1)
-        below = (np.cumsum(bits, axis=1) - bits)[par, j]
-        i = top[par]
-        return par, i * n + j, below % 2 == 0, masks[par] ^ (1 << i) ^ (1 << j)
-
-    return _table(g.ring, [e for row in g.entries for e in row], n, roots, expand,
-                  [0] * len(roots))
-
-
 def pfaffian(m: SkewFormMatrix) -> Form:
     """Pfaffian of an even-size skew-symmetric form matrix."""
     if m.size % 2:
         return m.ring.zero()
-    return _pfaffians(m, [(1 << m.size) - 1])[0]
+    return _table(m.ring, m.entries, [(1 << m.size) - 1], [0])[0]
 
 
 def principal_pfaffians(g: SkewFormMatrix) -> list[Form]:
@@ -364,5 +322,5 @@ def principal_pfaffians(g: SkewFormMatrix) -> list[Form]:
     if g.size % 2 == 0:
         raise ValueError("principal Pfaffians need an odd-size matrix")
     full = (1 << g.size) - 1
-    pfs = _pfaffians(g, [full ^ (1 << i) for i in range(g.size)])
+    pfs = _table(g.ring, g.entries, [full ^ (1 << i) for i in range(g.size)], [0] * g.size)
     return [-pf if i % 2 else pf for i, pf in enumerate(pfs)]

@@ -215,6 +215,7 @@ class PolyRing:
         return Form(self, 0, np.array([_integer(c, "coefficient") % self.p], dtype=np.int64))
 
     def variable(self, i: int) -> Form:
+        i = _integer(i, "variable index")
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
         coeffs = np.zeros(self.nvars, dtype=np.int64)

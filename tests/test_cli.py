@@ -43,6 +43,15 @@ class TestBound:
         assert "error" in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--t", "3", "--r", "0"), "error: r = 0 has no intersection construction\n"),
+    (("--t", "3", "--r", "1", "--d", "0"), "error: need d >= 1, got d=0\n"),
+])
+def test_construct_and_verify_refuse_with_one_message(capsys, flags, message):
+    for command in ("construct", "verify"):
+        assert run_cli(capsys, command, *flags) == (2, "", message)
+
+
 class TestConstructRoundTrip:
     def test_construct_then_intersect_and_hilbert(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "construct", "--t", "4", "--r", "2",
@@ -387,14 +396,13 @@ class TestVerify:
                               text=True, timeout=60)
 
     def test_huge_t_exits_2_before_the_subset_tables_grow(self):
-        # the walk lists the table of the 39 x 40 M_small from its roots
-        # (level 39) down; by level 35 it has listed 760,098 column sets,
-        # which times 40 columns passes MAX_ARRAY_ENTRIES, so it is refused
-        # before that level is expanded
+        # the minors of the 39 x 40 M_small are Pfaffians of a bordered
+        # 79 x 79 skew matrix, wider than an int64 mask, so the walk refuses
+        # the table before it lists a level
         started = time.monotonic()
         proc = self._verify_capped("--t", "40", "--r", "1")
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: subset table level 35 too large")
+        assert proc.stderr.startswith("error: subset tables index at most 63")
         assert time.monotonic() - started < 20
 
     def test_huge_d_exits_2_before_a_product_matrix_grows(self):

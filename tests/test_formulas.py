@@ -182,6 +182,12 @@ class TestHilbertFromResolution:
                     _, deg = hilbert_from_resolution(expected_betti(t, r, d))
                     assert deg == bound_uniform(d, t, r)
 
+    def test_negative_h_vector_refused(self):
+        # the numerator divides exactly, but the h-vector is (1, 2, -1)
+        shape = BettiShape(2, ((1, 2, 4), (2, 3, 4), (1, 4, 1)))
+        with pytest.raises(ValueError, match="negative entries"):
+            hilbert_from_resolution(shape)
+
     def test_inexact_division_reported(self):
         shape = BettiShape(codimension=3, terms=((1, 1, 1),))
         with pytest.raises(ValueError):

@@ -134,6 +134,26 @@ class TestVerifyConstruction:
         assert rep.failure == ("genericity failure after 4 attempts: "
                                "zero maximal minor: generator 0 (seed 5)")
 
+    def test_uncertified_profile_is_reseeded(self, monkeypatch):
+        # a cutoff of 2 is below every certificate of these generators
+        real = harness.hilbert_function
+        calls = []
+
+        def first_uncertified(gens, cutoff):
+            calls.append(cutoff)
+            return real(gens, 2 if len(calls) == 1 else cutoff)
+        monkeypatch.setattr(harness, "hilbert_function", first_uncertified)
+        rep = verify_construction(4, 2, 1, seed=5)
+        assert rep.passed and rep.parameters["seed"] == 6 and len(calls) == 2
+
+    def test_uncertified_profiles_exhaust_the_reseeds(self, monkeypatch):
+        real = harness.hilbert_function
+        monkeypatch.setattr(harness, "hilbert_function", lambda gens, cutoff: real(gens, 2))
+        rep = verify_construction(3, 1, 1, seed=2)
+        assert not rep.passed and rep.parameters["seed"] == 5
+        assert rep.failure == ("genericity failure after 4 attempts: "
+                               "no stabilization by degree 6 (seed 5)")
+
 
 class TestPfaffianSpan:
     @pytest.mark.parametrize("t,r", [(2, 1), (3, 1), (3, 2), (4, 2)])

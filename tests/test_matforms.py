@@ -138,7 +138,7 @@ class TestMaximalMinors:
         for p in PRIMES:
             ring = PolyRing(p)
             rng = random.Random(11)
-            cases = [graded_matrix(ring, [0] * t, [1] * (t + 1), rng) for t in (1, 2, 3, 4)]
+            cases = [graded_matrix(ring, [0] * t, [1] * (t + 1), rng) for t in (1, 2, 3, 4, 5)]
             cases += [graded_matrix(ring, [0] * t, [1] * (t + 1), rng, zeros=0.3)
                       for t in (2, 3, 4, 4)]
             cases += [graded_matrix(ring, [0, 0, 0], [1] * 4, rng, zero_col=1),
@@ -328,6 +328,13 @@ class TestDegreeMatrix:
     (lambda ring, x: SkewFormMatrix.from_upper(ring, 2, {(1, 0): x}), "need i < j"),
     (lambda ring, x: SkewFormMatrix.from_upper(ring, 2, {(0, 1): x}).with_entry(1, 1, x),
      "need i < j"),
+    # pairs outside the matrix once raised IndexError, or wrapped around
+    (lambda ring, x: SkewFormMatrix.from_upper(ring, 3, {(0, 5): x}),
+     "index pair \\(0, 5\\) outside 0..2"),
+    (lambda ring, x: SkewFormMatrix.from_upper(ring, 3, {(-1, 2): x}),
+     "index pair \\(-1, 2\\) outside 0..2"),
+    (lambda ring, x: SkewFormMatrix.from_upper(ring, 3, {(0, 1): x}).with_entry(0, 7, x),
+     "index pair \\(0, 7\\) outside 0..2"),
     (lambda ring, x: minor(twisted_cubic(ring), [0, 0], [0, 1]), "repeated index"),
     (lambda ring, x: minor(twisted_cubic(ring), [0, 0], [1, 1]), "repeated index"),
 ])

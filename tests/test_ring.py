@@ -48,6 +48,12 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             PolyRing(bad)
 
+    def test_composite_passing_trial_division_rejected(self):
+        # 46327 * 46337 has no factor up to 37: Miller-Rabin must find it composite
+        assert not is_prime(2146654199)
+        with pytest.raises(ValueError, match="modulus 2146654199 is not prime"):
+            PolyRing(2146654199)
+
     def test_accepts_small_primes(self):
         assert PolyRing(7).p == 7
         assert PolyRing(101).p == 101
@@ -282,11 +288,15 @@ class TestRingContext:
         assert PolyRing(32003.0) == PolyRing() and type(PolyRing(32003.0).p) is int
         assert type(PolyRing(nvars=np.int64(3)).nvars) is int
         assert ring.variable(0) * np.int64(2) == ring.constant(2.0) * ring.variable(0)
+        assert ring.variable(1.0) == ring.variable(np.int64(1)) == ring.monomial((0, 1, 0, 0))
 
     @pytest.mark.parametrize("build,match", [
         (lambda ring: PolyRing(nvars=0), "at least one variable"),
         (lambda ring: ring.variable(4), "variable index 4 out of range"),
         (lambda ring: ring.variable(-1), "variable index -1 out of range"),
+        # numpy once read True as a mask (x0 + x1 + x2 + x3) and 1.5 as a bad index
+        (lambda ring: ring.variable(True), "True is not an integer \\(variable index\\)"),
+        (lambda ring: ring.variable(1.5), "1.5 is not an integer \\(variable index\\)"),
         (lambda ring: Form(ring, -1, np.zeros(0, dtype=np.int64)), "non-negative"),
         (lambda ring: ring.variable(0) + PolyRing(101).variable(0), "different rings"),
         (lambda ring: ring.variable(0) * PolyRing(101).variable(0), "different rings"),
