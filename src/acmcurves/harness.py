@@ -1,11 +1,26 @@
 """End-to-end verification workflows.
 
-Ties the layers together: build a construction pair, measure the length and
-h-vector of the intersection scheme through Hilbert-function stabilization,
-compare against the closed-form expectations, and cross-check the Pfaffian
-description of the generators. Also hosts the scripted example scenarios,
-the brute-force rational-point oracle over tiny fields, and the tensor
+Ties the layers together: build a construction pair, check the Pfaffian
+description of its generators, measure the length, h-vector and generator
+degrees of the intersection scheme, and compare them against the
+closed-form expectations. Also hosts the scripted example scenarios, the
+brute-force rational-point oracle over tiny fields, and the tensor
 reinterpretations of a linear-entry matrix.
+
+verify_construction measures by structure, in three variables. The ideal I
+of the generators is the ideal of the principal Pfaffians of the
+(2k+1)-square skew matrix skew_matrix_G, checked form by form. If some
+coordinate hyperplane x_v = 0 misses V(I), V(I) is finite (a curve meets
+every plane), so I has height 3, the most a Pfaffian ideal can have, and
+grade 3 as R is Cohen-Macaulay. Then the Buchsbaum-Eisenbud complex
+resolves R/I (Amer. J. Math. 99, 1977, Thm 2.1), so R/I is Cohen-Macaulay
+of dimension 1 and x_v is a nonzerodivisor on it. Reducing by x_v keeps
+the Betti numbers, so the Artinian ring R/(I + x_v) in three variables
+has the h-vector of R/I as its Hilbert function, with the length as its
+sum, and the image of I in R/(x_v) has the generator degrees of I. Its
+socle degree s is the top twist of the resolution minus 3, so
+(I + x_v)_{s+1} = R_{s+1} is the emptiness test, and its values through s
+are the h-vector. No Hilbert function in four variables is computed.
 
 Intersection multiplicity is counted scheme-theoretically (the stabilized
 Hilbert value is the length of the intersection scheme); reports say
@@ -25,7 +40,7 @@ import numpy as np
 from . import formulas
 from .construct import (ConstructionPair, DegenerateSample, build_uniform_pair,
                         embed_pair, gorenstein_generators, skew_matrix_G)
-from .hilbert import (HilbertProfile, IdealPresentation, h_vector_from_profile,
+from .hilbert import (HilbertProfile, IdealPresentation, artinian_reduction,
                       hilbert_function, minimal_generator_degrees)
 from .matforms import FormMatrix, SkewFormMatrix, maximal_minors, minor, principal_pfaffians
 from .ring import DEFAULT_PRIME, Form, PolyRing, random_form
@@ -148,29 +163,41 @@ def perturbed_pfaffian_span_check(pair: ConstructionPair, rng: random.Random) ->
     Generically the perturbed Pfaffians are no longer +-the generators, so
     the expected outcome is False (with overwhelming probability at large p).
     """
-    g = skew_matrix_G(pair)
-    top = pair.t - pair.r + 1
+    return _pfaffians_match(gorenstein_generators(pair),
+                            _perturbed(skew_matrix_G(pair), pair.t - pair.r + 1, rng))
+
+
+def _perturbed(g: SkewFormMatrix, top: int, rng: random.Random) -> SkewFormMatrix:
+    """g with its entry (i, j), for random i < top and i < j < g.size,
+    replaced by a fresh random form of the slot degree."""
     i = rng.randrange(top)
     j = rng.randrange(i + 1, g.size)
-    g2 = g.with_entry(i, j, random_form(g.degree_matrix[i][j], pair.m_big.ring, rng))
-    return _pfaffians_match(gorenstein_generators(pair), g2)
+    return g.with_entry(i, j, random_form(g.degree_matrix[i][j], g.ring, rng))
 
 
 def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
                         prime: int = DEFAULT_PRIME) -> VerificationReport:
-    """Build a pair and verify degree, h-vector, generator degrees, Pfaffian span.
+    """Build a pair and verify its Pfaffian identity, degree, h-vector and
+    generator degrees, from one Artinian reduction (module docstring).
+
+    Principal Pfaffian i of skew_matrix_G must be +-generator i; a sample
+    that fails it is a fault, so the report fails at once, with the observed
+    fields unset. Then, with s = (top twist) - 3 the socle degree, the first
+    coordinate x_v in x_3, ..., x_0 with (I + x_v)_{s+1} = R_{s+1} gives the
+    observed h-vector, the values of R/(I + x_v) through degree s, its sum,
+    the length, and the generator degrees of the image of I in R/(x_v).
 
     Random entries realize "general" ones; if a sample is degenerate (a zero
-    minor, DegenerateSample) or its Hilbert function is not certified
-    constant by the cutoff, the pair is rebuilt with the next seed, at most
-    MAX_RESEEDS times, before reporting failure. Every other exception
-    propagates: a reseed must not hide a fault in the computation.
+    minor, DegenerateSample) or no coordinate hyperplane misses its scheme,
+    the pair is rebuilt with the next seed, at most MAX_RESEEDS times, before
+    reporting failure. Every other exception propagates: a reseed must not
+    hide a fault in the computation.
     """
     ring = PolyRing(prime, 4)
     params = {"t": t, "r": r, "d": d, "p": prime, "seed": seed}
     report = VerificationReport(parameters=params)
     shape = formulas.expected_betti(t, r, d)
-    cutoff = max(shape.step(3))  # the top twist
+    socle = max(shape.step(3)) - 3
     expected_h, expected_deg = formulas.hilbert_from_resolution(shape)
     report.expected_degree = expected_deg
     report.expected_h_vector = expected_h
@@ -190,21 +217,28 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
         report.timings["construct"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        profile = hilbert_function(gens, cutoff)
-        report.timings["hilbert"] = time.perf_counter() - t0
-        if not profile.stabilized:
-            last_error = f"no stabilization by degree {cutoff} (seed {used_seed})"
-            continue
-        report.observed_degree = profile.stabilized_value
-        report.observed_h_vector = h_vector_from_profile(profile)
-
-        t0 = time.perf_counter()
-        report.generator_degrees_observed = minimal_generator_degrees(gens)
-        report.timings["generators"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
         report.pfaffian_span_equal = _pfaffians_match(gens, skew_matrix_G(pair))
         report.timings["pfaffian"] = time.perf_counter() - t0
+        if not report.pfaffian_span_equal:
+            report.failure = (f"principal Pfaffians of the skew matrix are not the "
+                              f"generators (seed {used_seed})")
+            return report
+
+        t0 = time.perf_counter()
+        reduction = artinian_reduction(gens, socle + 1)
+        report.timings["hilbert"] = time.perf_counter() - t0
+        if reduction is None:
+            last_error = (f"every coordinate hyperplane meets the scheme: no x_v with "
+                          f"(I + x_v) = R in degree {socle + 1} (seed {used_seed})")
+            continue
+        _, section, profile = reduction
+        # an Artinian quotient generated in degree 1 is zero from its first zero on
+        report.observed_h_vector = tuple(itertools.takewhile(bool, profile.values))
+        report.observed_degree = sum(report.observed_h_vector)
+
+        t0 = time.perf_counter()
+        report.generator_degrees_observed = minimal_generator_degrees(section)
+        report.timings["generators"] = time.perf_counter() - t0
         return report
     report.failure = f"genericity failure after {MAX_RESEEDS + 1} attempts: {last_error}"
     return report

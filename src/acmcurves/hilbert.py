@@ -189,8 +189,8 @@ def _assemble(ideal: IdealPresentation, e: int, psi: np.ndarray, col: np.ndarray
     monomial m of degree k, so the l-divisible column l w it meets has w of
     l-power below k. In lift order those w are the first
     dim R_{e-1} - dim R_{e-1-k} rows of Psi_{e-1}, so the rows of degree k
-    are built that wide and multiplied by that prefix only: at verify
-    (4,1,3), e = 23, the rows of one degree-9 generator are 120 x 2040 and
+    are built that wide and multiplied by that prefix only: for the
+    (4,1,3) intersection ideal, e = 23, the rows of one degree-9 generator are 120 x 2040 and
     meet 1740 of the 2300 rows of Psi_22, where the four together over every
     column were 480 x 2600. Small temporaries matter beyond their own bytes:
     the heap they leave behind after a lift stays resident. That is why these
@@ -237,15 +237,35 @@ def _restrict(ideal: IdealPresentation, v: int) -> IdealPresentation:
     return IdealPresentation(ring=sub, generators=tuple(f for f in restricted if not f.is_zero))
 
 
+def _sections(ideal: IdealPresentation):
+    """(v, the image of I in R/(x_v)) for v = n-1, ..., 0: the order in which
+    coordinates are tried, by _regularity_witness and artinian_reduction."""
+    return ((v, _restrict(ideal, v)) for v in reversed(range(ideal.ring.nvars)))
+
+
 def _regularity_witness(ideal: IdealPresentation, m: int) -> int | None:
     """First v in n-1, ..., 0 with (I + x_v)_m = R_m, or None."""
-    ring = ideal.ring
-    if ring.nvars == 1:
+    if ideal.ring.nvars == 1:
         return 0  # (I + x_0)_m = R_m for every m >= 1
-    for v in reversed(range(ring.nvars)):
-        cut = _restrict(ideal, v)
-        if ideal_piece_dim(cut, m) == cut.ring.dim(m):
-            return v
+    return next((v for v, cut in _sections(ideal) if ideal_piece_dim(cut, m) == cut.ring.dim(m)),
+                None)
+
+
+def artinian_reduction(ideal: IdealPresentation,
+                       degree: int) -> tuple[int, IdealPresentation, HilbertProfile] | None:
+    """First v in n-1, ..., 0 with (I + x_v)_degree = R_degree, as
+    (v, J, profile of J up to degree), where J is the image of I in
+    R/(x_v), a ring in n - 1 >= 1 variables; None if no coordinate has it.
+
+    Such a v says V(I) misses the hyperplane x_v = 0, so V(I) is finite.
+    When R/I is moreover Cohen-Macaulay of dimension 1, x_v is a
+    nonzerodivisor on it: the values of the profile are then the h-vector
+    of R/I, and J has the minimal generator degrees of I. Each section is
+    measured by hilbert_function, in n - 1 variables."""
+    for v, cut in _sections(ideal):
+        profile = hilbert_function(cut, degree)
+        if profile.values[degree] == 0:
+            return v, cut, profile
     return None
 
 

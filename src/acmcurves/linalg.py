@@ -188,7 +188,7 @@ def kernel_lift(k: np.ndarray, ny: int, psi: np.ndarray, p: int) -> np.ndarray:
     Otherwise it is a _submul whose product is
     as small as the number of those pivots, built _GATHER columns at a time:
     one gather of every selected column would be a temporary as large as psi
-    (10 MB at verify (4,1,3)).
+    (10 MB for the (4,1,3) intersection ideal).
     """
     piv, r = _rref(k, p)
     free = _complement(piv, k.shape[1])

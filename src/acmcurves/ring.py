@@ -30,14 +30,15 @@ from .linalg import _mulmod
 DEFAULT_PRIME = 32003
 
 # Largest monomial basis built or addressed (degree 82 in 4 variables), far
-# above the degree-24 pieces (2925 monomials) that verify (4,1,3) ranks.
+# above the degree-23 pieces (2600 monomials) that the Hilbert lift of the
+# (4,1,3) intersection ideal reaches.
 MAX_FORM_DIM = 100_000
 
 # Most entries one dense array of coefficients may hold, 80 MB as float64:
 # a dual basis Psi_e of the Hilbert lift, a level of a subset table of
 # matforms, or the matrix of a form product (Form.mul_matrix); and the most
 # subsets times width a subset-table walk may list. The degree-10 surface at
-# its default cutoff 24 needs 2925 x 2365, verify (4,1,3) 2600 x 840, and the
+# its default cutoff 24 needs 2925 x 2365, the (4,1,3) ideal 2600 x 840, and the
 # Pfaffians of verify --t 15 --r 1 a level of 9.87M.
 MAX_ARRAY_ENTRIES = 100 * MAX_FORM_DIM
 

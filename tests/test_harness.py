@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from acmcurves import harness, hilbert, jsonio
+from acmcurves import formulas, harness, hilbert, jsonio
 from acmcurves.construct import (DegenerateSample, build_linear_pair, build_uniform_pair,
                                  embed_pair, gorenstein_generators)
 from acmcurves.harness import (SCENARIO_SEEDS, conjecture_evidence, intersect_count,
@@ -89,11 +89,11 @@ class TestVerifyConstruction:
         # a fault that surfaces as ValueError must not be masked by a later seed
         calls = []
 
-        def broken(profile):
-            calls.append(profile)
-            raise ValueError("negative difference at degree 3: not ACM at this cutoff")
-        monkeypatch.setattr(harness, "h_vector_from_profile", broken)
-        with pytest.raises(ValueError, match="not ACM"):
+        def broken(gens, degree):
+            calls.append(degree)
+            raise ValueError("degree 5 too large for the Hilbert lift")
+        monkeypatch.setattr(harness, "artinian_reduction", broken)
+        with pytest.raises(ValueError, match="too large for the Hilbert lift"):
             verify_construction(4, 2, 1, seed=5)
         assert len(calls) == 1
 
@@ -134,25 +134,90 @@ class TestVerifyConstruction:
         assert rep.failure == ("genericity failure after 4 attempts: "
                                "zero maximal minor: generator 0 (seed 5)")
 
-    def test_uncertified_profile_is_reseeded(self, monkeypatch):
-        # a cutoff of 2 is below every certificate of these generators
-        real = harness.hilbert_function
+    def test_failed_reduction_is_reseeded(self, monkeypatch):
+        # asked one degree short, at the socle degree, every section of these
+        # generators is still nonzero, so the first reduction finds no x_v
+        real = harness.artinian_reduction
         calls = []
 
-        def first_uncertified(gens, cutoff):
-            calls.append(cutoff)
-            return real(gens, 2 if len(calls) == 1 else cutoff)
-        monkeypatch.setattr(harness, "hilbert_function", first_uncertified)
+        def first_fails(gens, degree):
+            calls.append(real(gens, degree - 1 if not calls else degree))
+            return calls[-1]
+        monkeypatch.setattr(harness, "artinian_reduction", first_fails)
         rep = verify_construction(4, 2, 1, seed=5)
-        assert rep.passed and rep.parameters["seed"] == 6 and len(calls) == 2
+        assert rep.passed and rep.parameters["seed"] == 6
+        assert len(calls) == 2 and calls[0] is None
 
-    def test_uncertified_profiles_exhaust_the_reseeds(self, monkeypatch):
-        real = harness.hilbert_function
-        monkeypatch.setattr(harness, "hilbert_function", lambda gens, cutoff: real(gens, 2))
+    def test_failed_reductions_exhaust_the_reseeds(self, monkeypatch):
+        real = harness.artinian_reduction
+        monkeypatch.setattr(harness, "artinian_reduction",
+                            lambda gens, degree: real(gens, degree - 1))
         rep = verify_construction(3, 1, 1, seed=2)
         assert not rep.passed and rep.parameters["seed"] == 5
-        assert rep.failure == ("genericity failure after 4 attempts: "
-                               "no stabilization by degree 6 (seed 5)")
+        assert rep.observed_degree is None and rep.pfaffian_span_equal is True
+        assert rep.failure == ("genericity failure after 4 attempts: every coordinate "
+                               "hyperplane meets the scheme: no x_v with (I + x_v) = R "
+                               "in degree 4 (seed 5)")
+
+    def test_perturbed_skew_matrix_fails_without_reseed(self, monkeypatch):
+        # a Pfaffian identity that fails is a fault, not a degenerate sample
+        real = harness.skew_matrix_G
+        calls = []
+
+        def perturbed(pair):
+            calls.append(pair)
+            return harness._perturbed(real(pair), pair.t - pair.r + 1, random.Random(27))
+        monkeypatch.setattr(harness, "skew_matrix_G", perturbed)
+        rep = verify_construction(4, 2, 1, seed=5)
+        assert not rep.passed and rep.pfaffian_span_equal is False
+        assert rep.failure == ("principal Pfaffians of the skew matrix are not the "
+                               "generators (seed 5)")
+        assert rep.observed_degree is None and rep.observed_h_vector is None
+        assert rep.generator_degrees_observed is None
+        assert rep.parameters["seed"] == 5 and len(calls) == 1
+
+    def test_curve_has_no_artinian_reduction(self):
+        # the maximal minors of M_big alone cut out a curve, which meets every
+        # coordinate plane; the intersection ideal of the same pair does not
+        pair = build_uniform_pair(4, 2, 1, random.Random(5))
+        degree = max(formulas.expected_betti(4, 2, 1).step(3)) - 2
+        curve = IdealPresentation(ring=pair.m_big.ring,
+                                  generators=tuple(maximal_minors(pair.m_big)))
+        assert hilbert.artinian_reduction(curve, degree) is None
+        v, section, profile = hilbert.artinian_reduction(gorenstein_generators(pair), degree)
+        assert v == 3 and section.ring.nvars == 3
+        assert profile.values == (1, 3, 3, 3, 1, 0)
+
+    def test_takes_no_four_variable_lift_or_rank(self, monkeypatch):
+        seen = []
+        for name in ("_lift", "ideal_piece_dim", "macaulay_matrix"):
+            def recording(ideal, *args, _real=getattr(hilbert, name), _name=name):
+                seen.append((_name, ideal.ring.nvars))
+                return _real(ideal, *args)
+            monkeypatch.setattr(hilbert, name, recording)
+        for t, r, d in ((4, 2, 1), (3, 1, 2)):
+            assert verify_construction(t, r, d, seed=5).passed
+        assert {name for name, _ in seen} == {"_lift", "ideal_piece_dim", "macaulay_matrix"}
+        assert max(nvars for _, nvars in seen) == 3
+
+    def test_4_1_3_at_large_prime(self):
+        rep = verify_construction(4, 1, 3, seed=0, prime=2147483629)
+        assert rep.passed and rep.observed_degree == formulas.bound_uniform(3, 4, 1)
+
+
+@pytest.mark.parametrize("prime", [32003, 2147483629])
+@pytest.mark.parametrize("t,r,d", [(3, 1, 1), (4, 2, 1), (6, 3, 1), (2, 1, 3), (3, 1, 2)])
+def test_artinian_reduction_agrees_with_the_four_variable_lift(t, r, d, prime):
+    # the 4-variable Hilbert lift, certified by Bayer-Stillman, is the oracle
+    rep = verify_construction(t, r, d, seed=3, prime=prime)
+    pair = build_uniform_pair(t, r, d, random.Random(rep.parameters["seed"]),
+                              ring=PolyRing(prime, 4))
+    gens = gorenstein_generators(pair)
+    profile = hilbert.hilbert_function(gens, max(formulas.expected_betti(t, r, d).step(3)))
+    assert rep.passed
+    assert rep.observed_degree == profile.stabilized_value
+    assert rep.observed_h_vector == hilbert.h_vector_from_profile(profile)
+    assert rep.generator_degrees_observed == hilbert.minimal_generator_degrees(gens)
 
 
 class TestPfaffianSpan:
