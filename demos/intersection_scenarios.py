@@ -1,7 +1,9 @@
 """The scripted intersection scenarios, end to end.
 
-Each scenario builds explicit curves, sums their ideals, and reads the
-length of the intersection scheme off the stabilized Hilbert function.
+Each scenario builds explicit curves and sums their ideals. The
+construction pairs (ex-11, ex-26, ex-2d3) read the length of the
+intersection scheme off one Artinian reduction of that Gorenstein ideal in
+three variables; ex-mixed reads it off the stabilized Hilbert function.
 The mixed-degree scenario keeps its pinned expectations and reports the
 observed counts honestly; see the test suite for the full discussion of
 case A.

@@ -188,7 +188,8 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, KeyError, OSError, MemoryError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # MemoryError() has no text: its type name stands in
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

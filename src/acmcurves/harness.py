@@ -22,6 +22,16 @@ socle degree s is the top twist of the resolution minus 3, so
 (I + x_v)_{s+1} = R_{s+1} is the emptiness test, and its values through s
 are the h-vector. No Hilbert function in four variables is computed.
 
+run_scenario measures its construction pairs (ex-11, ex-26, ex-2d3) the
+same way, through the same helper. Its ideal I_{C_t} + I_{C_{t-r}} adds to
+the Gorenstein ideal J the r + 1 maximal minors of M_big that delete a free
+column. Each is checked, form by form, to be +- the matching maximal minor
+of union_matrix, and those lie in J: expanded along the first row of the
+union matrix, whose entries are Laplace combinations of the minors of
+M_small. So the two ideals are equal and have one length. A sample with a
+zero generator, or whose scheme meets every coordinate hyperplane, is
+measured by intersect_count instead; a failed identity fails the report.
+
 Intersection multiplicity is counted scheme-theoretically (the stabilized
 Hilbert value is the length of the intersection scheme); reports say
 "degree" in that sense and never certify reducedness.
@@ -33,16 +43,17 @@ import itertools
 import random
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import formulas
 from .construct import (ConstructionPair, DegenerateSample, build_uniform_pair,
-                        embed_pair, gorenstein_generators, skew_matrix_G)
+                        embed_pair, gorenstein_generators, skew_matrix_G, union_matrix)
 from .hilbert import (HilbertProfile, IdealPresentation, artinian_reduction,
                       hilbert_function, minimal_generator_degrees)
-from .matforms import FormMatrix, SkewFormMatrix, maximal_minors, minor, principal_pfaffians
+from .matforms import FormMatrix, SkewFormMatrix, maximal_minors, principal_pfaffians
 from .ring import DEFAULT_PRIME, Form, PolyRing, random_form
 
 MAX_RESEEDS = 3
@@ -142,11 +153,41 @@ def _count_intersection(forms: list[Form], ring: PolyRing,
     return profile.stabilized_value, profile
 
 
+def _matches(forms: Sequence[Form], others: Sequence[Form]) -> bool:
+    """True iff form i of forms is +-form i of others, for every i."""
+    return len(forms) == len(others) and all(f == g or f == -g for f, g in zip(forms, others))
+
+
 def _pfaffians_match(gens: IdealPresentation, skew: SkewFormMatrix) -> bool:
     """True iff principal Pfaffian i of skew is +-generator i of gens, for every i."""
-    pfs = principal_pfaffians(skew)
-    return len(pfs) == len(gens.generators) and all(
-        f == g or f == -g for f, g in zip(pfs, gens.generators))
+    return _matches(principal_pfaffians(skew), gens.generators)
+
+
+def _by_structure(pair: ConstructionPair, gens: IdealPresentation, socle: int,
+                  timings: dict[str, float]
+                  ) -> tuple[bool, tuple[tuple[int, ...], IdealPresentation] | None]:
+    """(identity, measured) for the Gorenstein ideal I of gens, by structure
+    (module docstring), with the stage timings "pfaffian" and "hilbert".
+
+    identity says whether principal Pfaffian i of skew_matrix_G(pair) is
+    +-generator i; when it fails, nothing else is computed. Then measured is
+    (h-vector, J) from the first x_v in x_3, ..., x_0 with
+    (I + x_v)_{socle+1} = R_{socle+1}, J the image of I in R/(x_v); None
+    when every coordinate hyperplane meets the scheme.
+    """
+    t0 = time.perf_counter()
+    identity = _pfaffians_match(gens, skew_matrix_G(pair))
+    timings["pfaffian"] = time.perf_counter() - t0
+    if not identity:
+        return False, None
+    t0 = time.perf_counter()
+    reduction = artinian_reduction(gens, socle + 1)
+    timings["hilbert"] = time.perf_counter() - t0
+    if reduction is None:
+        return True, None
+    _, section, profile = reduction
+    # an Artinian quotient generated in degree 1 is zero from its first zero on
+    return True, (tuple(itertools.takewhile(bool, profile.values)), section)
 
 
 def pfaffian_span_check(pair: ConstructionPair) -> bool:
@@ -185,7 +226,8 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
     fields unset. Then, with s = (top twist) - 3 the socle degree, the first
     coordinate x_v in x_3, ..., x_0 with (I + x_v)_{s+1} = R_{s+1} gives the
     observed h-vector, the values of R/(I + x_v) through degree s, its sum,
-    the length, and the generator degrees of the image of I in R/(x_v).
+    the length, and the generator degrees of the image of I in R/(x_v)
+    (_by_structure).
 
     Random entries realize "general" ones; if a sample is degenerate (a zero
     minor, DegenerateSample) or no coordinate hyperplane misses its scheme,
@@ -216,24 +258,16 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
             continue
         report.timings["construct"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        report.pfaffian_span_equal = _pfaffians_match(gens, skew_matrix_G(pair))
-        report.timings["pfaffian"] = time.perf_counter() - t0
+        report.pfaffian_span_equal, measured = _by_structure(pair, gens, socle, report.timings)
         if not report.pfaffian_span_equal:
             report.failure = (f"principal Pfaffians of the skew matrix are not the "
                               f"generators (seed {used_seed})")
             return report
-
-        t0 = time.perf_counter()
-        reduction = artinian_reduction(gens, socle + 1)
-        report.timings["hilbert"] = time.perf_counter() - t0
-        if reduction is None:
+        if measured is None:
             last_error = (f"every coordinate hyperplane meets the scheme: no x_v with "
                           f"(I + x_v) = R in degree {socle + 1} (seed {used_seed})")
             continue
-        _, section, profile = reduction
-        # an Artinian quotient generated in degree 1 is zero from its first zero on
-        report.observed_h_vector = tuple(itertools.takewhile(bool, profile.values))
+        report.observed_h_vector, section = measured
         report.observed_degree = sum(report.observed_h_vector)
 
         t0 = time.perf_counter()
@@ -303,6 +337,32 @@ def _mixed_degree_matrix(ring: PolyRing, rng: random.Random) -> FormMatrix:
     return FormMatrix(ring, ent, [[3, 2, 1], [3, 2, 1]])
 
 
+def _measure_pair(pair: ConstructionPair, report: VerificationReport) -> None:
+    """Set report.observed_degree to the length of R/(I_{C_t} + I_{C_{t-r}}),
+    by structure (module docstring) unless the sample blocks it, else by
+    intersect_count. A failed identity is a fault: it sets report.failure
+    and no length. The union identity: the maximal minor of M_big that
+    deletes free column j is +-maximal minor j of union_matrix."""
+    try:
+        gens = gorenstein_generators(pair)
+    except DegenerateSample:
+        gens = None
+    measured = None
+    if gens is not None:
+        socle = max(formulas.expected_betti(pair.t, pair.r, pair.d).step(3)) - 3
+        identity, measured = _by_structure(pair, gens, socle, report.timings)
+        if not identity:
+            report.failure = "principal Pfaffians of the skew matrix are not the generators"
+            return
+    if measured is None:
+        report.observed_degree, _ = intersect_count(pair.m_small, pair.m_big)
+    elif _matches(maximal_minors(pair.m_big)[:pair.r + 1], maximal_minors(union_matrix(pair))):
+        report.observed_degree = sum(measured[0])
+    else:
+        report.failure = ("the maximal minors of M_big that delete a free column are not "
+                          "+-the maximal minors of the union matrix")
+
+
 def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
                  prime: int = DEFAULT_PRIME) -> VerificationReport:
     """Scripted intersection counts.
@@ -313,6 +373,9 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
     ex-mixed: 2 x 3 matrix with degree matrix [[3,2,1],[3,2,1]]; case A cuts
               with the two first-column entries, case B with the unique cubic
               in the ideal (the minor of columns 2-3) and a fresh cubic.
+
+    The construction pairs are measured by structure where the sample
+    allows it (_measure_pair); ex-mixed, no Pfaffian pair, by the lift.
     """
     if scenario_id not in SCENARIO_SEEDS:
         raise ValueError(f"unknown scenario {scenario_id!r}")
@@ -328,9 +391,8 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
         d_gens = maximal_minors(m_d)
         ci_a = [m_d.entry(0, 0), m_d.entry(1, 0)]
         count_a, _ = _count_intersection(ci_a + d_gens, ring)
-        cubic = minor(m_d, [0, 1], [1, 2])
-        ci_b = [cubic, random_form(3, ring, rng)]
-        count_b, _ = _count_intersection(ci_b + d_gens, ring)
+        # the cubic of case B, the minor of columns 2-3, is d_gens[0]
+        count_b, _ = _count_intersection([random_form(3, ring, rng)] + d_gens, ring)
         report.cases = {
             "caseA": {"observed": count_a, "expected": 17},
             "caseB": {"observed": count_b, "expected": 33},
@@ -343,8 +405,8 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
         else:  # ex-2d3
             params["d"] = d
             pair, expected = build_uniform_pair(2, 1, d, rng, ring=ring), 2 * d**3
-        report.observed_degree, _ = intersect_count(pair.m_small, pair.m_big)
         report.expected_degree = expected
+        _measure_pair(pair, report)
 
     report.timings["total"] = time.perf_counter() - t0
     return report

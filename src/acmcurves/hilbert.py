@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _mulmod, echelon_basis, kernel_lift, rank_modp
-from .ring import MAX_ARRAY_ENTRIES, Form, PolyRing, _rank
+from .ring import MAX_ARRAY_ENTRIES, MAX_FORM_DIM, Form, PolyRing, _rank
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,9 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
     from a degree m on when possible.
 
     The default cutoff is the sum of the two largest generator degrees plus 4
-    (a lone generator counts twice). Each value is H(e) = dim I_e^perp, from
+    (a lone generator counts twice). A cutoff above MAX_FORM_DIM, the largest
+    degree of a form, is refused with ValueError before any lift, as the
+    values up to the cutoff are stored. Each value is H(e) = dim I_e^perp, from
     a dual basis lifted degree by degree (module docstring): with l = x_{n-1}
     and R' = R/(l), I_e^perp is the kernel of K(e) = [F_e | G_e Psi_{e-1}],
     so H(e) = dim R'_e + H(e-1) - rank K(e). The pivots of K(e) in the
@@ -146,6 +148,9 @@ def hilbert_function(ideal: IdealPresentation, cutoff: int | None = None) -> Hil
         cutoff = sum((degs + degs)[:2]) + 4
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
+    if cutoff > MAX_FORM_DIM:
+        raise ValueError(f"cutoff {cutoff} too large: no form has degree above "
+                         f"MAX_FORM_DIM = {MAX_FORM_DIM}")
     ring = ideal.ring
     low = max([1] + degs[:1])
     values: list[int] = []

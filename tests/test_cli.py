@@ -131,6 +131,25 @@ class TestIntersect:
         assert code == 2
         assert "cannot allocate" in err
 
+    def test_blank_error_prints_its_type(self, capsys, tmp_path, monkeypatch):
+        def refuse(self, degree, terms=()):
+            raise MemoryError()
+        monkeypatch.setattr(PolyRing, "form", refuse)
+        code, _, err = run_cli(capsys, "intersect", *self._write_pair(tmp_path, 2))
+        assert code == 2
+        assert err == "error: MemoryError\n"
+
+    @pytest.mark.parametrize("cutoff", ["100001", "1000000000"])
+    def test_cutoff_above_the_degree_cap_exit_2(self, capsys, tmp_path, cutoff):
+        line = self._write_pair(tmp_path, 2)[1]  # the line x0 = x1 = 0, cut with itself
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "intersect", "--a", line, "--b", line,
+                                 "--cutoff", cutoff)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (f"error: cutoff {cutoff} too large: no form has degree above "
+                       f"MAX_FORM_DIM = 100000\n")
+
     def test_short_degree_matrix_exit_2(self, capsys, tmp_path):
         args = self._write_pair(tmp_path, 2)
         doc = json.loads((tmp_path / "m.json").read_text())
@@ -318,6 +337,15 @@ class TestHilbertInput:
         assert code == 2 and out is None
         assert err.startswith("error: degree 25 too large for the Hilbert lift")
 
+    def test_cutoff_above_the_degree_cap_exit_2(self, capsys, tmp_path):
+        # the values up to the cutoff were stored and printed: 20 MB at 10^7
+        start = time.perf_counter()
+        code, out, err = self._hilbert(capsys, tmp_path, self._twisted_cubic(), "--codim", "2",
+                                       "--cutoff", "10000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out is None
+        assert err.startswith("error: cutoff 10000000 too large")
+
     def test_twisted_cubic_uncertified(self, capsys, tmp_path):
         code, doc, _ = self._hilbert(capsys, tmp_path, self._twisted_cubic())
         assert code == 0
@@ -433,6 +461,20 @@ class TestScenario:
         assert doc["caseB"] == 33
         assert doc["caseA"] == 27  # pinned expectation 17 is not attainable
         assert code == 1
+
+    def test_ex_2d3_at_10_is_measured_by_structure(self, capsys):
+        # the Hilbert lift in four variables refused this at degree 29
+        code, out, err = run_cli(capsys, "scenario", "--id", "ex-2d3", "--d", "10")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["pass"] is True and doc["observedDegree"] == 2000
+
+    def test_ex_2d3_at_18_exits_2_before_a_product_matrix_grows(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "scenario", "--id", "ex-2d3", "--d", "18")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: product of degrees 18 and 18 too large")
 
     def test_unknown_id_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "scenario", "--id", "ex-nope")

@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from acmcurves import formulas, harness, hilbert, jsonio
+from acmcurves import cli, formulas, harness, hilbert, jsonio
 from acmcurves.construct import (DegenerateSample, build_linear_pair, build_uniform_pair,
                                  embed_pair, gorenstein_generators)
 from acmcurves.harness import (SCENARIO_SEEDS, conjecture_evidence, intersect_count,
@@ -10,8 +12,9 @@ from acmcurves.harness import (SCENARIO_SEEDS, conjecture_evidence, intersect_co
                                rational_point_oracle, run_scenario, tensor_views,
                                verify_construction)
 from acmcurves.hilbert import IdealPresentation
-from acmcurves.matforms import FormMatrix, maximal_minors
+from acmcurves.matforms import FormMatrix, maximal_minors, minor
 from acmcurves.ring import PolyRing, random_form
+from test_cli import GOLDEN_SCENARIO
 
 
 @pytest.fixture
@@ -377,6 +380,112 @@ class TestScenarios:
     def test_fresh_seed_unlocks(self):
         rep = run_scenario("ex-11", seed=SCENARIO_SEEDS["ex-11"] + 1)
         assert rep.observed_degree == 11
+
+
+# the scenarios measured by structure, with the parameters of their pairs
+PAIR_SCENARIOS = [("ex-11", 2), ("ex-26", 2)] + [("ex-2d3", d) for d in (1, 2, 3, 4)]
+
+
+def _recording(monkeypatch, module, name, calls):
+    """Patch module.name to append its first argument to calls, then run."""
+    real = getattr(module, name)
+
+    def recording(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+    monkeypatch.setattr(module, name, recording)
+    return real
+
+
+class TestScenarioStructure:
+    """ex-11, ex-26 and ex-2d3 take their length from the Pfaffian and union
+    identities and one Artinian reduction, or from intersect_count when the
+    sample blocks that."""
+
+    def test_structural_length_is_the_lift_length(self, monkeypatch):
+        pairs, fell_back = [], []
+        _recording(monkeypatch, harness, "gorenstein_generators", pairs)
+        count = _recording(monkeypatch, harness, "intersect_count", fell_back)
+        structural = 0
+        for prime in (3, 5, 32003, 2147483629):
+            for scenario, d in PAIR_SCENARIOS:
+                for seed in range(2 if prime > 5 else 5):
+                    before = len(fell_back)
+                    rep = run_scenario(scenario, d=d, seed=seed, prime=prime)
+                    pair = pairs[-1]
+                    lifted, _ = count(pair.m_small, pair.m_big)
+                    assert rep.observed_degree == lifted, (scenario, d, seed, prime)
+                    assert rep.failure is None
+                    if len(fell_back) == before:
+                        structural += 1
+                        assert lifted == rep.expected_degree, (scenario, d, seed, prime)
+        # over the small fields some schemes meet every coordinate plane
+        assert 0 < len(fell_back) < structural
+
+    def test_takes_no_four_variable_lift_or_rank(self, monkeypatch):
+        seen = []
+        for name in ("_lift", "ideal_piece_dim", "macaulay_matrix"):
+            def recording(ideal, *args, _real=getattr(hilbert, name), _name=name):
+                seen.append((_name, ideal.ring.nvars))
+                return _real(ideal, *args)
+            monkeypatch.setattr(hilbert, name, recording)
+        for scenario, d in PAIR_SCENARIOS:
+            assert run_scenario(scenario, d=d).passed
+        assert ("_lift", 3) in seen and max(nvars for _, nvars in seen) == 3
+
+    def test_blocked_reduction_falls_back_to_the_same_report(self, monkeypatch, capsys):
+        plain = [jsonio.dumps(jsonio.report_to_doc(run_scenario(s, d=d)))
+                 for s, d in PAIR_SCENARIOS]
+        lifted = []
+        _recording(monkeypatch, harness, "intersect_count", lifted)
+        monkeypatch.setattr(harness, "artinian_reduction", lambda gens, degree: None)
+        fallback = [jsonio.dumps(jsonio.report_to_doc(run_scenario(s, d=d)))
+                    for s, d in PAIR_SCENARIOS]
+        assert fallback == plain and len(lifted) == len(PAIR_SCENARIOS)
+        # through the lift, ex-11 and ex-26 print the digests recorded for it
+        for scenario, code, digest in (param.values for param in GOLDEN_SCENARIO[:2]):
+            assert cli.main(["scenario", "--id", scenario]) == code
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_degenerate_sample_falls_back(self, monkeypatch):
+        def degenerate(pair):
+            raise DegenerateSample("zero maximal minor: generator 0")
+        monkeypatch.setattr(harness, "gorenstein_generators", degenerate)
+        rep = run_scenario("ex-2d3", d=2)
+        assert rep.passed and rep.observed_degree == 16
+
+    def test_perturbed_free_column_minor_fails_the_report(self, monkeypatch, capsys):
+        # M_big of ex-2d3 is the only 2 x 3 matrix whose minors the harness takes
+        real = harness.maximal_minors
+
+        def perturbed(m):
+            minors = real(m)
+            if (m.rows, m.cols) == (2, 3):
+                minors[0] = minors[0] + random_form(minors[0].degree, m.ring, random.Random(7))
+            return minors
+        monkeypatch.setattr(harness, "maximal_minors", perturbed)
+        rep = run_scenario("ex-2d3", d=2)
+        assert not rep.passed and rep.observed_degree is None
+        assert rep.failure == ("the maximal minors of M_big that delete a free column are not "
+                               "+-the maximal minors of the union matrix")
+        code = cli.main(["scenario", "--id", "ex-2d3", "--d", "2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["observedDegree"] is None and doc["pass"] is False
+
+    def test_perturbed_skew_matrix_fails_the_report(self, monkeypatch):
+        real = harness.skew_matrix_G
+        monkeypatch.setattr(harness, "skew_matrix_G", lambda pair: harness._perturbed(
+            real(pair), pair.t - pair.r + 1, random.Random(27)))
+        rep = run_scenario("ex-26")
+        assert not rep.passed and rep.observed_degree is None
+        assert rep.pfaffian_span_equal is None
+        assert rep.failure == "principal Pfaffians of the skew matrix are not the generators"
+
+    def test_ex_mixed_case_b_takes_its_cubic_from_the_minors(self):
+        # the minor of columns 2-3 is the first maximal minor
+        for seed in range(5):
+            m = harness._mixed_degree_matrix(PolyRing(), random.Random(seed))
+            assert minor(m, [0, 1], [1, 2]) == maximal_minors(m)[0]
 
 
 class TestConjectureEvidence:

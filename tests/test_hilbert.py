@@ -14,7 +14,7 @@ from acmcurves.hilbert import (HilbertProfile, IdealPresentation, graded_piece_s
                                minimal_generator_degrees)
 from acmcurves.linalg import _rref, kernel_lift, rank_modp
 from acmcurves.matforms import FormMatrix, maximal_minors
-from acmcurves.ring import MAX_ARRAY_ENTRIES, PolyRing, random_form
+from acmcurves.ring import MAX_ARRAY_ENTRIES, MAX_FORM_DIM, PolyRing, random_form
 from test_ring import schoolbook_product
 
 
@@ -250,6 +250,13 @@ class TestCertificate:
         assert prof.values == (1, 3, 5, 6, 6, 6, 7, 8, 9, 10)
         assert three_equal_values(prof.values) == 6
         assert prof.certificate is None and not prof.stabilized
+
+    def test_cutoff_capped_at_the_largest_degree(self, ring):
+        x = [ring.variable(i) for i in range(4)]
+        point = IdealPresentation(ring=ring, generators=tuple(x[:3]))
+        assert len(hilbert_function(point, MAX_FORM_DIM).values) == MAX_FORM_DIM + 1
+        with pytest.raises(ValueError, match=f"cutoff {MAX_FORM_DIM + 1} too large"):
+            hilbert_function(point, MAX_FORM_DIM + 1)
 
     def test_default_cutoff(self, ring):
         x = [ring.variable(i) for i in range(4)]
