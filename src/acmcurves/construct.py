@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .formulas import check_construction
 from .hilbert import IdealPresentation
-from .matforms import FormMatrix, SkewFormMatrix, laplace, maximal_minors
+from .matforms import FormMatrix, SkewFormMatrix, _minors, laplace, maximal_minors
 from .ring import DEFAULT_PRIME, Form, PolyRing, random_form
 
 
@@ -50,6 +51,12 @@ class ConstructionPair:
             for k in range(t - r):
                 if not self.m_big.entry(i, r + 1 + k).is_zero:
                     raise ValueError(f"zero block violated at ({i},{k})")
+
+    @cached_property
+    def minors(self) -> tuple[tuple[Form, ...], tuple[Form, ...]]:
+        """The maximal minors of M_small and of M_big (maximal_minors), one
+        subset table each, taken once per pair."""
+        return tuple(maximal_minors(self.m_small)), tuple(maximal_minors(self.m_big))
 
 
 def _random_matrix(ring: PolyRing, rows: int, cols: int, d: int, rng: random.Random) -> FormMatrix:
@@ -115,9 +122,8 @@ def union_matrix(pair: ConstructionPair) -> FormMatrix:
     tr = t - r
     # F_i expands along its free column: the cofactors are the maximal
     # minors of the embedded transpose, those of M_small
-    cofactors = maximal_minors(pair.m_small)
     zero = ring.zero((tr + 1) * d)
-    ent = [[laplace([pair.m_big.entry(row, i) for row in range(tr + 1)], cofactors, zero)
+    ent = [[laplace([pair.m_big.entry(row, i) for row in range(tr + 1)], pair.minors[0], zero)
             for i in range(r + 1)]]
     for row in range(tr + 1, t):
         ent.append([pair.m_big.entry(row, j) for j in range(r + 1)])
@@ -132,10 +138,8 @@ def gorenstein_generators(pair: ConstructionPair) -> IdealPresentation:
     That is 2t-2r+1 forms: t-r+1 of degree d(t-r) and t-r of degree dt.
     A zero minor raises DegenerateSample.
     """
-    t, r = pair.t, pair.r
-    gens = list(maximal_minors(pair.m_small))
-    big = maximal_minors(pair.m_big)
-    gens.extend(big[r + 1 + k] for k in range(t - r))
+    small, big = pair.minors
+    gens = [*small, *big[pair.r + 1:]]
     zeros = [i for i, g in enumerate(gens) if g.is_zero]
     if zeros:
         raise DegenerateSample(f"zero maximal minor: generator {zeros[0]}")
@@ -156,17 +160,16 @@ def skew_matrix_G(pair: ConstructionPair) -> SkewFormMatrix:
     ring = pair.m_big.ring
     tr = t - r
     q = tr + 1
-    size = 2 * t - 2 * r + 1
-    free = [row[:r + 1] for row in pair.m_big.entries]
-    slots = [row[:r + 1] for row in pair.m_big.degree_matrix]
+    free = FormMatrix(ring, [row[:r + 1] for row in pair.m_big.entries],
+                      [row[:r + 1] for row in pair.m_big.degree_matrix])
     zero = ring.zero((r + 1) * d)
-    upper: dict[tuple[int, int], Form] = {}
-    for j in range(1, q):
-        # G_i^j expands along row i; rows j and the tail share one table
-        cofactors = maximal_minors(FormMatrix(ring, [free[j], *free[q:]], [slots[j], *slots[q:]]))
-        for i in range(j):
-            upper[(i, j)] = laplace(free[i], cofactors, zero)
+    # G_i^j expands along row i against the maximal minors of row j and the
+    # tail rows; one table over the free block holds them for every j
+    cofactors = _minors(free, [([j, *range(q, t)], [b for b in range(r + 1) if b != a])
+                               for j in range(1, q) for a in range(r + 1)])
+    upper = {(i, j): laplace(free.entries[i], cofactors[(j - 1) * (r + 1):j * (r + 1)], zero)
+             for j in range(1, q) for i in range(j)}
     for i in range(q):
         for k in range(tr):
             upper[(i, q + k)] = pair.m_small.entry(k, i)
-    return SkewFormMatrix.from_upper(ring, size, upper)
+    return SkewFormMatrix.from_upper(ring, 2 * tr + 1, upper)

@@ -158,11 +158,6 @@ def _matches(forms: Sequence[Form], others: Sequence[Form]) -> bool:
     return len(forms) == len(others) and all(f == g or f == -g for f, g in zip(forms, others))
 
 
-def _pfaffians_match(gens: IdealPresentation, skew: SkewFormMatrix) -> bool:
-    """True iff principal Pfaffian i of skew is +-generator i of gens, for every i."""
-    return _matches(principal_pfaffians(skew), gens.generators)
-
-
 def _by_structure(pair: ConstructionPair, gens: IdealPresentation, socle: int,
                   timings: dict[str, float]
                   ) -> tuple[bool, tuple[tuple[int, ...], IdealPresentation] | None]:
@@ -176,7 +171,7 @@ def _by_structure(pair: ConstructionPair, gens: IdealPresentation, socle: int,
     when every coordinate hyperplane meets the scheme.
     """
     t0 = time.perf_counter()
-    identity = _pfaffians_match(gens, skew_matrix_G(pair))
+    identity = _matches(principal_pfaffians(skew_matrix_G(pair)), gens.generators)
     timings["pfaffian"] = time.perf_counter() - t0
     if not identity:
         return False, None
@@ -194,7 +189,7 @@ def pfaffian_span_check(pair: ConstructionPair) -> bool:
     """True iff principal Pfaffian i of skew_matrix_G is +-generator i, so both sets
     generate one ideal: upper deletions give +-det of the embedded transpose minus
     a row, and the lower ones follow by generalized Laplace (skew_matrix_G)."""
-    return _pfaffians_match(gorenstein_generators(pair), skew_matrix_G(pair))
+    return _matches(principal_pfaffians(skew_matrix_G(pair)), gorenstein_generators(pair).generators)
 
 
 def perturbed_pfaffian_span_check(pair: ConstructionPair, rng: random.Random) -> bool:
@@ -204,8 +199,8 @@ def perturbed_pfaffian_span_check(pair: ConstructionPair, rng: random.Random) ->
     Generically the perturbed Pfaffians are no longer +-the generators, so
     the expected outcome is False (with overwhelming probability at large p).
     """
-    return _pfaffians_match(gorenstein_generators(pair),
-                            _perturbed(skew_matrix_G(pair), pair.t - pair.r + 1, rng))
+    skew = _perturbed(skew_matrix_G(pair), pair.t - pair.r + 1, rng)
+    return _matches(principal_pfaffians(skew), gorenstein_generators(pair).generators)
 
 
 def _perturbed(g: SkewFormMatrix, top: int, rng: random.Random) -> SkewFormMatrix:
@@ -356,7 +351,7 @@ def _measure_pair(pair: ConstructionPair, report: VerificationReport) -> None:
             return
     if measured is None:
         report.observed_degree, _ = intersect_count(pair.m_small, pair.m_big)
-    elif _matches(maximal_minors(pair.m_big)[:pair.r + 1], maximal_minors(union_matrix(pair))):
+    elif _matches(pair.minors[1][:pair.r + 1], maximal_minors(union_matrix(pair))):
         report.observed_degree = sum(measured[0])
     else:
         report.failure = ("the maximal minors of M_big that delete a free column are not "

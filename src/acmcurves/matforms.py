@@ -30,9 +30,9 @@ that Form products use too. Within one entry and source degree the targets
 are distinct, so one fancy-index add places every product. A target whose
 terms have two degrees means the matrix is not graded, and is refused with
 ValueError rather than summed into a mixed form. Form objects are made only
-for the results. laplace expands one row against cofactors from such a
-table, for the blocks that construct assembles, where one table serves many
-determinants.
+for the results. _minors takes any (rows, columns) selections of one size
+from one table, so laplace can expand a row of each block that construct
+assembles against cofactors that one table holds for all of them.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def determinant(m: FormMatrix) -> Form:
     """The one minor of a square matrix, from its subset table."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    return _minors(m, [range(m.cols)])[0]
+    return _minors(m, [(range(m.rows), range(m.cols))])[0]
 
 
 def minor(m: FormMatrix, rowset: Sequence[int], colset: Sequence[int]) -> Form:
@@ -186,22 +186,24 @@ def maximal_minors(m: FormMatrix) -> list[Form]:
     """
     if m.cols != m.rows + 1:
         raise ValueError(f"expected shape t x (t+1), got {m.rows} x {m.cols}")
-    return _minors(m, [[j for j in range(m.cols) if j != dropped] for dropped in range(m.cols)])
+    return _minors(m, [(range(m.rows), [j for j in range(m.cols) if j != dropped])
+                       for dropped in range(m.cols)])
 
 
-def _minors(m: FormMatrix, colsets: Sequence[Sequence[int]]) -> list[Form]:
-    """det(rows 0..k-1, columns cs) for each column set cs of size k = rows,
-    as the signed Pfaffian of the bordered skew matrix (module docstring);
-    a zero minor has the degree of the slots (i, cs[i]). Every set expands
-    along a row of M, so the walk never reads the block -M^T, and it is
-    left zero rather than built."""
+def _minors(m: FormMatrix, selections: Sequence[tuple]) -> list[Form]:
+    """det(rows rs, columns cs) for each selection (rs, cs) of sorted
+    indices, all of one size k >= 1, as the signed Pfaffian of the bordered
+    skew matrix (module docstring); a zero minor has the degree of the slots
+    (rs[i], cs[i]). Every set expands along a row of M, so the walk never
+    reads the block -M^T, and it is left zero rather than built."""
     r, c = m.rows, m.cols
     zero = m.ring.zero()
     bordered = [[zero] * (c + r)] * c + [[*row, *[zero] * r] for row in m.entries]
-    rows = ((1 << r) - 1) << c
-    pfs = _table(m.ring, bordered, [rows | sum(1 << j for j in cs) for cs in colsets],
-                 [sum(m.degree_matrix[i][j] for i, j in enumerate(cs)) for cs in colsets])
-    return [-pf for pf in pfs] if r * (r + 1) // 2 % 2 else pfs
+    pfs = _table(m.ring, bordered,
+                 [sum(1 << j for j in cs) | sum(1 << (c + i) for i in rs) for rs, cs in selections],
+                 [sum(m.degree_matrix[i][j] for i, j in zip(rs, cs)) for rs, cs in selections])
+    k = len(selections[0][0])
+    return [-pf for pf in pfs] if k * (k + 1) // 2 % 2 else pfs
 
 
 # ---- the subset-table walk ----

@@ -235,10 +235,20 @@ class TestSkewMatrix:
         assert len(pfs) == 5
         assert sorted(p.degree for p in pfs) == [2, 2, 2, 4, 4]
 
+    def test_cofactors_come_from_one_table(self, monkeypatch):
+        # every G_i^j expands against minors of the free block from one table
+        from acmcurves import matforms
+        pair = build_linear_pair(6, 3, random.Random(631))
+        tables, real = [], matforms._table
+        monkeypatch.setattr(matforms, "_table", lambda *args: tables.append(args) or real(*args))
+        skew_matrix_G(pair)
+        assert len(tables) == 1
+
 
 # r = 1 (no tail rows), r = t-1 (q = 2) and d > 1; the large prime takes
 # the 16-bit limb path of the table products
-BLOCK_CASES = [(2, 1, 1), (3, 1, 1), (4, 2, 1), (5, 2, 1), (5, 4, 1), (2, 1, 2), (3, 2, 2)]
+BLOCK_CASES = [(2, 1, 1), (3, 1, 1), (4, 2, 1), (5, 2, 1), (5, 4, 1), (6, 3, 1), (2, 1, 2),
+               (3, 2, 2)]
 
 
 @pytest.mark.parametrize("p", [32003, 2147483629])

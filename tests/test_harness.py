@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from acmcurves import cli, formulas, harness, hilbert, jsonio
+from acmcurves import cli, construct, formulas, harness, hilbert, jsonio
 from acmcurves.construct import (DegenerateSample, build_linear_pair, build_uniform_pair,
                                  embed_pair, gorenstein_generators)
 from acmcurves.harness import (SCENARIO_SEEDS, conjecture_evidence, intersect_count,
@@ -455,15 +455,15 @@ class TestScenarioStructure:
         assert rep.passed and rep.observed_degree == 16
 
     def test_perturbed_free_column_minor_fails_the_report(self, monkeypatch, capsys):
-        # M_big of ex-2d3 is the only 2 x 3 matrix whose minors the harness takes
-        real = harness.maximal_minors
+        # M_big of ex-2d3 is the only 2 x 3 matrix whose minors the pair takes
+        real = construct.maximal_minors
 
         def perturbed(m):
             minors = real(m)
             if (m.rows, m.cols) == (2, 3):
                 minors[0] = minors[0] + random_form(minors[0].degree, m.ring, random.Random(7))
             return minors
-        monkeypatch.setattr(harness, "maximal_minors", perturbed)
+        monkeypatch.setattr(construct, "maximal_minors", perturbed)
         rep = run_scenario("ex-2d3", d=2)
         assert not rep.passed and rep.observed_degree is None
         assert rep.failure == ("the maximal minors of M_big that delete a free column are not "
@@ -471,6 +471,20 @@ class TestScenarioStructure:
         code = cli.main(["scenario", "--id", "ex-2d3", "--d", "2"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1 and doc["observedDegree"] is None and doc["pass"] is False
+
+    @pytest.mark.parametrize("run,shapes", [
+        (lambda: run_scenario("ex-26"), [(3, 4), (5, 6)]),
+        (lambda: cli.main(["construct", "--t", "4", "--r", "2"]), [(2, 3), (4, 5)])],
+        ids=["scenario", "construct"])
+    def test_each_matrix_of_the_pair_gives_its_maximal_minors_once(self, monkeypatch, capsys,
+                                                                   run, shapes):
+        # shapes: M_small, then M_big; the generators, the union matrix and
+        # the union identity all read the pair's one set of minors
+        taken = []
+        for module in (construct, harness):
+            _recording(monkeypatch, module, "maximal_minors", taken)
+        run()
+        assert [(m.rows, m.cols) for m in taken if (m.rows, m.cols) in shapes] == shapes
 
     def test_perturbed_skew_matrix_fails_the_report(self, monkeypatch):
         real = harness.skew_matrix_G

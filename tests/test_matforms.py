@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import resource
@@ -341,6 +342,34 @@ class TestDegreeMatrix:
 def test_refusals(ring, build, match):
     with pytest.raises(ValueError, match=match):
         build(ring, ring.variable(0))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_selections_agree_with_minors_of_the_copied_submatrix(p):
+    """_minors on every (rows, columns) selection of sizes 1-4, against
+    minor on the copied submatrix: k(k+1)/2 is odd for k = 1, 2 and even for
+    k = 3, 4, so both signs of the bordered Pfaffian are met. Column 5 is
+    zero, and every minor keeps the degree of its slots, a zero one too."""
+    ring = PolyRing(p)
+    m = graded_matrix(ring, [0, 1, 0, 2, 1], [1, 2, 1, 1, 2, 1], random.Random(56),
+                      zeros=0.2, zero_col=5)
+    zero_minors = 0
+    for k in range(1, 5):
+        selections = [(rs, cs) for rs in itertools.combinations(range(5), k)
+                      for cs in itertools.combinations(range(6), k)]
+        for (rs, cs), got in zip(selections, matforms._minors(m, selections), strict=True):
+            assert got == minor(m, rs, cs)
+            assert got.degree == sum(m.degree_matrix[i][j] for i, j in zip(rs, cs))
+            zero_minors += got.is_zero
+    assert zero_minors > 100
+
+
+def test_small_minor_of_a_large_matrix_answers(ring):
+    # minor copies its selection: a table over the whole 40 x 40 matrix would
+    # need 80-bit masks
+    m = random_matrix(ring, 40, 40, 1, random.Random(40))
+    got = minor(m, [3, 37], [0, 39])
+    assert got == m.entry(3, 0) * m.entry(37, 39) - m.entry(3, 39) * m.entry(37, 0)
 
 
 def test_empty_minor_is_one_and_odd_pfaffian_is_zero(ring):
