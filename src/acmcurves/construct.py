@@ -137,6 +137,13 @@ def gorenstein_generators(pair: ConstructionPair) -> IdealPresentation:
 
     That is 2t-2r+1 forms: t-r+1 of degree d(t-r) and t-r of degree dt.
     A zero minor raises DegenerateSample.
+
+    They generate I_{C_t} + I_{C_{t-r}}: the other r+1 maximal minors of
+    M_big, those that delete a free column, lie in the ideal of M_small's.
+    Expand such a minor by generalized Laplace along the t-r embedded
+    columns: they hold the transpose of M_small above a zero block (the
+    layout ConstructionPair checks), so the t-r rowed minor of every term
+    is zero or +-a maximal minor of M_small.
     """
     small, big = pair.minors
     gens = [*small, *big[pair.r + 1:]]

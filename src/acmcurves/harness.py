@@ -23,14 +23,14 @@ socle degree s is the top twist of the resolution minus 3, so
 are the h-vector. No Hilbert function in four variables is computed.
 
 run_scenario measures its construction pairs (ex-11, ex-26, ex-2d3) the
-same way, through the same helper. Its ideal I_{C_t} + I_{C_{t-r}} adds to
-the Gorenstein ideal J the r + 1 maximal minors of M_big that delete a free
-column. Each is checked, form by form, to be +- the matching maximal minor
-of union_matrix, and those lie in J: expanded along the first row of the
-union matrix, whose entries are Laplace combinations of the minors of
-M_small. So the two ideals are equal and have one length. A sample with a
-zero generator, or whose scheme meets every coordinate hyperplane, is
-measured by intersect_count instead; a failed identity fails the report.
+same way, through the same helper: their ideal I_{C_t} + I_{C_{t-r}} is the
+Gorenstein ideal J of gorenstein_generators, for every pair the layout
+admits (gorenstein_generators says why). A sample whose scheme meets every
+coordinate hyperplane gets no length: the lift's regularity certificate
+needs (J + x_v)_m = R_m for some v and m, so it could certify none either.
+A sample with a zero generator has no Pfaffian structure and is measured
+by the lift on the pair's maximal minors; a failed identity fails the
+report.
 
 Intersection multiplicity is counted scheme-theoretically (the stabilized
 Hilbert value is the length of the intersection scheme); reports say
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import formulas
 from .construct import (ConstructionPair, DegenerateSample, build_uniform_pair,
-                        embed_pair, gorenstein_generators, skew_matrix_G, union_matrix)
+                        embed_pair, gorenstein_generators, skew_matrix_G)
 from .hilbert import (HilbertProfile, IdealPresentation, artinian_reduction,
                       hilbert_function, minimal_generator_degrees)
 from .matforms import FormMatrix, SkewFormMatrix, maximal_minors, principal_pfaffians
@@ -334,28 +334,21 @@ def _mixed_degree_matrix(ring: PolyRing, rng: random.Random) -> FormMatrix:
 
 def _measure_pair(pair: ConstructionPair, report: VerificationReport) -> None:
     """Set report.observed_degree to the length of R/(I_{C_t} + I_{C_{t-r}}),
-    by structure (module docstring) unless the sample blocks it, else by
-    intersect_count. A failed identity is a fault: it sets report.failure
-    and no length. The union identity: the maximal minor of M_big that
-    deletes free column j is +-maximal minor j of union_matrix."""
+    the ideal of gorenstein_generators, by structure (module docstring): a
+    blocked sample gets none, a degenerate one the lift's. A failed
+    identity is a fault: it sets report.failure and no length."""
     try:
         gens = gorenstein_generators(pair)
     except DegenerateSample:
-        gens = None
-    measured = None
-    if gens is not None:
-        socle = max(formulas.expected_betti(pair.t, pair.r, pair.d).step(3)) - 3
-        identity, measured = _by_structure(pair, gens, socle, report.timings)
-        if not identity:
-            report.failure = "principal Pfaffians of the skew matrix are not the generators"
-            return
-    if measured is None:
-        report.observed_degree, _ = intersect_count(pair.m_small, pair.m_big)
-    elif _matches(pair.minors[1][:pair.r + 1], maximal_minors(union_matrix(pair))):
+        report.observed_degree, _ = _count_intersection([*pair.minors[0], *pair.minors[1]],
+                                                        pair.m_big.ring)
+        return
+    socle = max(formulas.expected_betti(pair.t, pair.r, pair.d).step(3)) - 3
+    identity, measured = _by_structure(pair, gens, socle, report.timings)
+    if not identity:
+        report.failure = "principal Pfaffians of the skew matrix are not the generators"
+    elif measured is not None:
         report.observed_degree = sum(measured[0])
-    else:
-        report.failure = ("the maximal minors of M_big that delete a free column are not "
-                          "+-the maximal minors of the union matrix")
 
 
 def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
@@ -369,8 +362,8 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
               with the two first-column entries, case B with the unique cubic
               in the ideal (the minor of columns 2-3) and a fresh cubic.
 
-    The construction pairs are measured by structure where the sample
-    allows it (_measure_pair); ex-mixed, no Pfaffian pair, by the lift.
+    The construction pairs are measured by structure (_measure_pair,
+    gorenstein_generators); ex-mixed, no Pfaffian pair, by the lift.
     """
     if scenario_id not in SCENARIO_SEEDS:
         raise ValueError(f"unknown scenario {scenario_id!r}")

@@ -469,6 +469,16 @@ class TestScenario:
         doc = json.loads(out)
         assert doc["pass"] is True and doc["observedDegree"] == 2000
 
+    def test_blocked_sample_exits_1_with_no_length(self, capsys):
+        # every coordinate plane meets this sample's scheme, so no lift could
+        # certify its length; the four-variable lift refused it at degree 29
+        code, out, err = run_cli(capsys, "scenario", "--id", "ex-2d3", "--d", "10",
+                                 "--prime", "3", "--seed", "7")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["observedDegree"] is None and doc["failure"] is None
+        assert doc["pass"] is False
+
     def test_ex_2d3_at_18_exits_2_before_a_product_matrix_grows(self, capsys):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "scenario", "--id", "ex-2d3", "--d", "18")

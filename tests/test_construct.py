@@ -5,7 +5,8 @@ import pytest
 from acmcurves.construct import (ConstructionPair, DegenerateSample, build_linear_pair,
                                  build_uniform_pair, embed_pair, gorenstein_generators,
                                  skew_matrix_G, union_matrix)
-from acmcurves.matforms import FormMatrix
+from acmcurves.hilbert import IdealPresentation, ideal_piece_dim
+from acmcurves.matforms import FormMatrix, maximal_minors
 from acmcurves.ring import PolyRing, random_form
 from test_matforms import naive_det
 
@@ -132,12 +133,52 @@ class TestUnionMatrix:
         assert all(not u.entry(0, j).is_zero for j in range(2))
 
 
+@pytest.mark.parametrize("p", [5, 32003, 2147483629])
+@pytest.mark.parametrize("t,r,d", [(2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 1, 1), (4, 3, 1),
+                                   (5, 2, 1), (2, 1, 2), (3, 2, 2)])
+class TestUnionIdentity:
+    """The maximal minors of M_big that delete a free column are +-those of
+    the union matrix, and lie in the ideal of M_small's minors: with the
+    generators, those minors generate I_{C_t} + I_{C_{t-r}}
+    (gorenstein_generators)."""
+
+    def pair(self, t, r, d, p):
+        return build_uniform_pair(t, r, d, random.Random(500 + 100 * t + 10 * r + d),
+                                  ring=PolyRing(p, 4))
+
+    @staticmethod
+    def matches(union, pair):
+        return all(f == g or f == -g
+                   for f, g in zip(maximal_minors(union), pair.minors[1][:pair.r + 1]))
+
+    def test_union_minors_are_the_free_column_minors(self, t, r, d, p):
+        pair = self.pair(t, r, d, p)
+        union = union_matrix(pair)
+        assert len(maximal_minors(union)) == r + 1 and self.matches(union, pair)
+
+    def test_free_column_minors_lie_in_the_small_ideal(self, t, r, d, p):
+        pair = self.pair(t, r, d, p)
+        small = IdealPresentation(pair.m_big.ring, pair.minors[0])
+        degree = d * t
+        for f in pair.minors[1][:r + 1]:
+            grown = IdealPresentation(small.ring, (*small.generators, f))
+            assert ideal_piece_dim(grown, degree) == ideal_piece_dim(small, degree)
+
+    def test_perturbed_union_entry_breaks_the_identity(self, t, r, d, p):
+        pair = self.pair(t, r, d, p)
+        u = union_matrix(pair)
+        rng = random.Random(t + r + d)
+        i, j = rng.randrange(u.rows), rng.randrange(u.cols)
+        entries = [list(row) for row in u.entries]
+        entries[i][j] = entries[i][j] + random_form(u.degree_matrix[i][j], u.ring, rng)
+        assert not self.matches(FormMatrix(u.ring, entries, u.degree_matrix), pair)
+
+
 class TestUnionDegree:
     @pytest.mark.parametrize("t,r,d", [(3, 1, 1), (4, 2, 1), (5, 3, 1), (2, 1, 2)])
     def test_union_curve_degree_is_sum_of_curve_degrees(self, t, r, d):
         from acmcurves.formulas import deg_acm
-        from acmcurves.hilbert import IdealPresentation, hilbert_function
-        from acmcurves.matforms import maximal_minors
+        from acmcurves.hilbert import hilbert_function
 
         pair = build_uniform_pair(t, r, d, random.Random(100 + t + r + d))
         u = union_matrix(pair)

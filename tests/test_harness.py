@@ -1,5 +1,3 @@
-import hashlib
-import json
 import random
 
 import pytest
@@ -14,7 +12,6 @@ from acmcurves.harness import (SCENARIO_SEEDS, conjecture_evidence, intersect_co
 from acmcurves.hilbert import IdealPresentation
 from acmcurves.matforms import FormMatrix, maximal_minors, minor
 from acmcurves.ring import PolyRing, random_form
-from test_cli import GOLDEN_SCENARIO
 
 
 @pytest.fixture
@@ -398,29 +395,34 @@ def _recording(monkeypatch, module, name, calls):
 
 
 class TestScenarioStructure:
-    """ex-11, ex-26 and ex-2d3 take their length from the Pfaffian and union
-    identities and one Artinian reduction, or from intersect_count when the
-    sample blocks that."""
+    """ex-11, ex-26 and ex-2d3 take their length from the Pfaffian identity
+    and one Artinian reduction, their ideal being that of
+    gorenstein_generators; a degenerate sample takes it from the lift on the
+    pair's minors, and a blocked one gets none."""
 
     def test_structural_length_is_the_lift_length(self, monkeypatch):
-        pairs, fell_back = [], []
+        pairs, degenerate = [], []
         _recording(monkeypatch, harness, "gorenstein_generators", pairs)
-        count = _recording(monkeypatch, harness, "intersect_count", fell_back)
-        structural = 0
+        _recording(monkeypatch, harness, "_count_intersection", degenerate)
+        structural = non_structural = 0
         for prime in (3, 5, 32003, 2147483629):
             for scenario, d in PAIR_SCENARIOS:
                 for seed in range(2 if prime > 5 else 5):
-                    before = len(fell_back)
+                    before = len(degenerate)
                     rep = run_scenario(scenario, d=d, seed=seed, prime=prime)
+                    fell_back = len(degenerate) > before
                     pair = pairs[-1]
-                    lifted, _ = count(pair.m_small, pair.m_big)
+                    # on a blocked sample the lift certifies no length either
+                    lifted, _ = intersect_count(pair.m_small, pair.m_big)
                     assert rep.observed_degree == lifted, (scenario, d, seed, prime)
                     assert rep.failure is None
-                    if len(fell_back) == before:
+                    if fell_back or rep.observed_degree is None:
+                        non_structural += 1
+                    else:
                         structural += 1
                         assert lifted == rep.expected_degree, (scenario, d, seed, prime)
         # over the small fields some schemes meet every coordinate plane
-        assert 0 < len(fell_back) < structural
+        assert 0 < non_structural < structural
 
     def test_takes_no_four_variable_lift_or_rank(self, monkeypatch):
         seen = []
@@ -433,19 +435,18 @@ class TestScenarioStructure:
             assert run_scenario(scenario, d=d).passed
         assert ("_lift", 3) in seen and max(nvars for _, nvars in seen) == 3
 
-    def test_blocked_reduction_falls_back_to_the_same_report(self, monkeypatch, capsys):
-        plain = [jsonio.dumps(jsonio.report_to_doc(run_scenario(s, d=d)))
-                 for s, d in PAIR_SCENARIOS]
-        lifted = []
-        _recording(monkeypatch, harness, "intersect_count", lifted)
+    def test_blocked_sample_reports_no_length_and_takes_no_lift(self, monkeypatch):
+        counted, lifted = [], []
+        for name in ("intersect_count", "_count_intersection"):
+            _recording(monkeypatch, harness, name, counted)
+        _recording(monkeypatch, hilbert, "_lift", lifted)
         monkeypatch.setattr(harness, "artinian_reduction", lambda gens, degree: None)
-        fallback = [jsonio.dumps(jsonio.report_to_doc(run_scenario(s, d=d)))
-                    for s, d in PAIR_SCENARIOS]
-        assert fallback == plain and len(lifted) == len(PAIR_SCENARIOS)
-        # through the lift, ex-11 and ex-26 print the digests recorded for it
-        for scenario, code, digest in (param.values for param in GOLDEN_SCENARIO[:2]):
-            assert cli.main(["scenario", "--id", scenario]) == code
-            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        for scenario, d in PAIR_SCENARIOS:
+            rep = run_scenario(scenario, d=d)
+            assert rep.observed_degree is None and rep.failure is None
+            assert not rep.passed
+        # the reduction is patched out, so any lift here would be the fallback
+        assert counted == [] and lifted == []
 
     def test_degenerate_sample_falls_back(self, monkeypatch):
         def degenerate(pair):
@@ -454,23 +455,15 @@ class TestScenarioStructure:
         rep = run_scenario("ex-2d3", d=2)
         assert rep.passed and rep.observed_degree == 16
 
-    def test_perturbed_free_column_minor_fails_the_report(self, monkeypatch, capsys):
-        # M_big of ex-2d3 is the only 2 x 3 matrix whose minors the pair takes
-        real = construct.maximal_minors
-
-        def perturbed(m):
-            minors = real(m)
-            if (m.rows, m.cols) == (2, 3):
-                minors[0] = minors[0] + random_form(minors[0].degree, m.ring, random.Random(7))
-            return minors
-        monkeypatch.setattr(construct, "maximal_minors", perturbed)
-        rep = run_scenario("ex-2d3", d=2)
-        assert not rep.passed and rep.observed_degree is None
-        assert rep.failure == ("the maximal minors of M_big that delete a free column are not "
-                               "+-the maximal minors of the union matrix")
-        code = cli.main(["scenario", "--id", "ex-2d3", "--d", "2"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 1 and doc["observedDegree"] is None and doc["pass"] is False
+    def test_degenerate_sample_takes_each_matrix_minors_once(self, monkeypatch):
+        # at p = 3 this sample has a zero generator, so it is measured by the lift
+        taken, counted = [], []
+        for module in (construct, harness):
+            _recording(monkeypatch, module, "maximal_minors", taken)
+        _recording(monkeypatch, harness, "_count_intersection", counted)
+        rep = run_scenario("ex-2d3", d=1, seed=15, prime=3)
+        assert len(counted) == 1 and rep.observed_degree is None
+        assert [(m.rows, m.cols) for m in taken] == [(1, 2), (2, 3)]
 
     @pytest.mark.parametrize("run,shapes", [
         (lambda: run_scenario("ex-26"), [(3, 4), (5, 6)]),
@@ -478,8 +471,8 @@ class TestScenarioStructure:
         ids=["scenario", "construct"])
     def test_each_matrix_of_the_pair_gives_its_maximal_minors_once(self, monkeypatch, capsys,
                                                                    run, shapes):
-        # shapes: M_small, then M_big; the generators, the union matrix and
-        # the union identity all read the pair's one set of minors
+        # shapes: M_small, then M_big; the generators, and the union matrix
+        # that construct prints, read the pair's one set of minors
         taken = []
         for module in (construct, harness):
             _recording(monkeypatch, module, "maximal_minors", taken)
