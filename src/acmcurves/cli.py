@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, KeyError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # MemoryError() has no text: its type name stands in
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE

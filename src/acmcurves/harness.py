@@ -26,11 +26,11 @@ run_scenario measures its construction pairs (ex-11, ex-26, ex-2d3) the
 same way, through the same helper: their ideal I_{C_t} + I_{C_{t-r}} is the
 Gorenstein ideal J of gorenstein_generators, for every pair the layout
 admits (gorenstein_generators says why). A sample whose scheme meets every
-coordinate hyperplane gets no length: the lift's regularity certificate
-needs (J + x_v)_m = R_m for some v and m, so it could certify none either.
-A sample with a zero generator has no Pfaffian structure and is measured
-by the lift on the pair's maximal minors; a failed identity fails the
-report.
+coordinate hyperplane gets no length, and its failure says so: the lift's
+regularity certificate needs (J + x_v)_m = R_m for some v and m, so it
+could certify none either. A sample with a zero generator has no Pfaffian
+structure and is measured by the lift on the pair's maximal minors; a
+failed identity fails the report. _by_structure states both failures once.
 
 Intersection multiplicity is counted scheme-theoretically (the stabilized
 Hilbert value is the length of the intersection scheme); reports say
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formulas
-from .construct import (ConstructionPair, DegenerateSample, build_uniform_pair,
+from .construct import (ConstructionPair, DegenerateSample, _random_matrix, build_uniform_pair,
                         embed_pair, gorenstein_generators, skew_matrix_G)
 from .hilbert import (HilbertProfile, IdealPresentation, artinian_reduction,
                       hilbert_function, minimal_generator_degrees)
@@ -158,31 +158,34 @@ def _matches(forms: Sequence[Form], others: Sequence[Form]) -> bool:
     return len(forms) == len(others) and all(f == g or f == -g for f, g in zip(forms, others))
 
 
-def _by_structure(pair: ConstructionPair, gens: IdealPresentation, socle: int,
-                  timings: dict[str, float]
-                  ) -> tuple[bool, tuple[tuple[int, ...], IdealPresentation] | None]:
-    """(identity, measured) for the Gorenstein ideal I of gens, by structure
-    (module docstring), with the stage timings "pfaffian" and "hilbert".
+def _by_structure(pair: ConstructionPair, gens: IdealPresentation, timings: dict[str, float]
+                  ) -> tuple[bool, str | None, tuple[tuple[int, ...], IdealPresentation] | None]:
+    """(identity, failure, measured) for the Gorenstein ideal I of gens, by
+    structure (module docstring), with the stage timings "pfaffian" and
+    "hilbert".
 
     identity says whether principal Pfaffian i of skew_matrix_G(pair) is
-    +-generator i; when it fails, nothing else is computed. Then measured is
-    (h-vector, J) from the first x_v in x_3, ..., x_0 with
-    (I + x_v)_{socle+1} = R_{socle+1}, J the image of I in R/(x_v); None
-    when every coordinate hyperplane meets the scheme.
+    +-generator i; when it fails, nothing else is computed. Then, with s
+    the socle degree of the expected resolution, measured is (h-vector, J)
+    from the first x_v in x_3, ..., x_0 with (I + x_v)_{s+1} = R_{s+1}, J
+    the image of I in R/(x_v). failure says why measured is None, and is
+    None otherwise.
     """
     t0 = time.perf_counter()
     identity = _matches(principal_pfaffians(skew_matrix_G(pair)), gens.generators)
     timings["pfaffian"] = time.perf_counter() - t0
     if not identity:
-        return False, None
+        return False, "principal Pfaffians of the skew matrix are not the generators", None
+    socle = max(formulas.expected_betti(pair.t, pair.r, pair.d).step(3)) - 3
     t0 = time.perf_counter()
     reduction = artinian_reduction(gens, socle + 1)
     timings["hilbert"] = time.perf_counter() - t0
     if reduction is None:
-        return True, None
+        return True, (f"every coordinate hyperplane meets the scheme: no x_v with "
+                      f"(I + x_v) = R in degree {socle + 1}"), None
     _, section, profile = reduction
     # an Artinian quotient generated in degree 1 is zero from its first zero on
-    return True, (tuple(itertools.takewhile(bool, profile.values)), section)
+    return True, None, (tuple(itertools.takewhile(bool, profile.values)), section)
 
 
 def pfaffian_span_check(pair: ConstructionPair) -> bool:
@@ -234,7 +237,6 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
     params = {"t": t, "r": r, "d": d, "p": prime, "seed": seed}
     report = VerificationReport(parameters=params)
     shape = formulas.expected_betti(t, r, d)
-    socle = max(shape.step(3)) - 3
     expected_h, expected_deg = formulas.hilbert_from_resolution(shape)
     report.expected_degree = expected_deg
     report.expected_h_vector = expected_h
@@ -253,14 +255,12 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
             continue
         report.timings["construct"] = time.perf_counter() - t0
 
-        report.pfaffian_span_equal, measured = _by_structure(pair, gens, socle, report.timings)
-        if not report.pfaffian_span_equal:
-            report.failure = (f"principal Pfaffians of the skew matrix are not the "
-                              f"generators (seed {used_seed})")
-            return report
-        if measured is None:
-            last_error = (f"every coordinate hyperplane meets the scheme: no x_v with "
-                          f"(I + x_v) = R in degree {socle + 1} (seed {used_seed})")
+        report.pfaffian_span_equal, failure, measured = _by_structure(pair, gens, report.timings)
+        if failure is not None:
+            last_error = f"{failure} (seed {used_seed})"
+            if not report.pfaffian_span_equal:  # a fault: no reseed
+                report.failure = last_error
+                return report
             continue
         report.observed_h_vector, section = measured
         report.observed_degree = sum(report.observed_h_vector)
@@ -335,19 +335,16 @@ def _mixed_degree_matrix(ring: PolyRing, rng: random.Random) -> FormMatrix:
 def _measure_pair(pair: ConstructionPair, report: VerificationReport) -> None:
     """Set report.observed_degree to the length of R/(I_{C_t} + I_{C_{t-r}}),
     the ideal of gorenstein_generators, by structure (module docstring): a
-    blocked sample gets none, a degenerate one the lift's. A failed
-    identity is a fault: it sets report.failure and no length."""
+    degenerate sample gets the lift's. A blocked sample or a failed
+    identity gets none, and report.failure says which."""
     try:
         gens = gorenstein_generators(pair)
     except DegenerateSample:
         report.observed_degree, _ = _count_intersection([*pair.minors[0], *pair.minors[1]],
                                                         pair.m_big.ring)
         return
-    socle = max(formulas.expected_betti(pair.t, pair.r, pair.d).step(3)) - 3
-    identity, measured = _by_structure(pair, gens, socle, report.timings)
-    if not identity:
-        report.failure = "principal Pfaffians of the skew matrix are not the generators"
-    elif measured is not None:
+    _, report.failure, measured = _by_structure(pair, gens, report.timings)
+    if measured is not None:
         report.observed_degree = sum(measured[0])
 
 
@@ -415,10 +412,8 @@ def conjecture_evidence(t: int, r: int, trials: int = 100, seed: int = 0,
     violations = []
     for k in range(trials):
         rng = random.Random(seed + k)
-        small = [[random_form(1, ring, rng) for _ in range(t - r + 1)] for _ in range(t - r)]
-        big = [[random_form(1, ring, rng) for _ in range(t + 1)] for _ in range(t)]
-        a = FormMatrix(ring, small)
-        b = FormMatrix(ring, big)
+        a = _random_matrix(ring, t - r, t - r + 1, 1, rng)
+        b = _random_matrix(ring, t, t + 1, 1, rng)
         count, _ = intersect_count(a, b)
         if count is None:
             unresolved += 1

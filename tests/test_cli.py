@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import acmcurves
+from acmcurves import cli
 from acmcurves.cli import build_parser, main
 from acmcurves.ring import PolyRing
 
@@ -283,6 +284,21 @@ class TestHilbertInput:
         assert out == ""
         assert "error: malformed ideal document" in err
 
+    def test_fault_is_not_bad_input(self, capsys, tmp_path, monkeypatch):
+        # a missing key in a document is bad input; a KeyError from the
+        # library is a fault, and main lets it through
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"nvars": 4, "generators": [[[1, [1, 0, 0, 0]]]]}))
+        code, out, err = run_cli(capsys, "hilbert", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed ideal document")
+
+        def fault(*args, **kwargs):
+            raise KeyError("fault")
+        monkeypatch.setattr(cli, "verify_construction", fault)
+        with pytest.raises(KeyError, match="fault"):
+            main(["verify", "--t", "2", "--r", "1"])
+
     @pytest.mark.parametrize("doc,reason", [
         ({"p": "32003", "nvars": 4, "generators": [[[1, [1, 0, 0, 0]]]]},
          "'32003' is not an integer (modulus)"),
@@ -476,8 +492,9 @@ class TestScenario:
                                  "--prime", "3", "--seed", "7")
         assert code == 1 and err == ""
         doc = json.loads(out)
-        assert doc["observedDegree"] is None and doc["failure"] is None
-        assert doc["pass"] is False
+        assert doc["observedDegree"] is None and doc["pass"] is False
+        assert doc["failure"] == ("every coordinate hyperplane meets the scheme: no x_v "
+                                  "with (I + x_v) = R in degree 38")
 
     def test_ex_2d3_at_18_exits_2_before_a_product_matrix_grows(self, capsys):
         start = time.perf_counter()

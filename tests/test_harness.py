@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -220,6 +221,27 @@ def test_artinian_reduction_agrees_with_the_four_variable_lift(t, r, d, prime):
     assert rep.generator_degrees_observed == hilbert.minimal_generator_degrees(gens)
 
 
+def test_rank_and_lift_section_searches_agree():
+    # _regularity_witness takes a Macaulay rank per section, artinian_reduction
+    # a lift per section; both decide (I + x_v)_m = R_m, here at m = s + 1
+    found = Counter()
+    for prime in (3, 5):
+        for t, r, d in ((2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 2, 1), (2, 1, 2)):
+            m = max(formulas.expected_betti(t, r, d).step(3)) - 2
+            for seed in range(8):
+                pair = build_uniform_pair(t, r, d, random.Random(seed), ring=PolyRing(prime, 4))
+                try:
+                    gens = gorenstein_generators(pair)
+                except DegenerateSample:
+                    continue
+                reduction = hilbert.artinian_reduction(gens, m)
+                v = None if reduction is None else reduction[0]
+                assert hilbert._regularity_witness(gens, m) == v, (prime, t, r, d, seed)
+                found[v] += 1
+    # the small fields reach every outcome, blocked samples included
+    assert set(found) == {3, 2, 1, 0, None}
+
+
 class TestPfaffianSpan:
     @pytest.mark.parametrize("t,r", [(2, 1), (3, 1), (3, 2), (4, 2)])
     def test_constructed_pairs_pass(self, t, r):
@@ -383,6 +405,14 @@ class TestScenarios:
 PAIR_SCENARIOS = [("ex-11", 2), ("ex-26", 2)] + [("ex-2d3", d) for d in (1, 2, 3, 4)]
 
 
+def _blocked(pair):
+    """The failure of a pair whose scheme meets every coordinate hyperplane,
+    at one past the socle degree of its expected resolution."""
+    top = max(formulas.expected_betti(pair.t, pair.r, pair.d).step(3))
+    return ("every coordinate hyperplane meets the scheme: no x_v with "
+            f"(I + x_v) = R in degree {top - 2}")
+
+
 def _recording(monkeypatch, module, name, calls):
     """Patch module.name to append its first argument to calls, then run."""
     real = getattr(module, name)
@@ -398,7 +428,7 @@ class TestScenarioStructure:
     """ex-11, ex-26 and ex-2d3 take their length from the Pfaffian identity
     and one Artinian reduction, their ideal being that of
     gorenstein_generators; a degenerate sample takes it from the lift on the
-    pair's minors, and a blocked one gets none."""
+    pair's minors, and a blocked one gets none and names why."""
 
     def test_structural_length_is_the_lift_length(self, monkeypatch):
         pairs, degenerate = [], []
@@ -415,8 +445,9 @@ class TestScenarioStructure:
                     # on a blocked sample the lift certifies no length either
                     lifted, _ = intersect_count(pair.m_small, pair.m_big)
                     assert rep.observed_degree == lifted, (scenario, d, seed, prime)
-                    assert rep.failure is None
-                    if fell_back or rep.observed_degree is None:
+                    blocked = not fell_back and rep.observed_degree is None
+                    assert rep.failure == (_blocked(pair) if blocked else None)
+                    if fell_back or blocked:
                         non_structural += 1
                     else:
                         structural += 1
@@ -436,14 +467,15 @@ class TestScenarioStructure:
         assert ("_lift", 3) in seen and max(nvars for _, nvars in seen) == 3
 
     def test_blocked_sample_reports_no_length_and_takes_no_lift(self, monkeypatch):
-        counted, lifted = [], []
+        counted, lifted, pairs = [], [], []
         for name in ("intersect_count", "_count_intersection"):
             _recording(monkeypatch, harness, name, counted)
         _recording(monkeypatch, hilbert, "_lift", lifted)
+        _recording(monkeypatch, harness, "gorenstein_generators", pairs)
         monkeypatch.setattr(harness, "artinian_reduction", lambda gens, degree: None)
         for scenario, d in PAIR_SCENARIOS:
             rep = run_scenario(scenario, d=d)
-            assert rep.observed_degree is None and rep.failure is None
+            assert rep.observed_degree is None and rep.failure == _blocked(pairs[-1])
             assert not rep.passed
         # the reduction is patched out, so any lift here would be the fallback
         assert counted == [] and lifted == []

@@ -11,6 +11,11 @@ argv, exit code and stdout to its family's sha256; a refusal (exit 2) adds
   verify     linear and uniform pairs (t <= 6, all r, d <= 3), seeds 0..3,
              at p = 5, 101, 32003, 2147483629
   construct  the stdout documents of the same pairs
+  lift       the four-variable Hilbert lift: construct --out-dir into a
+             temporary directory, then intersect on mSmall.json and
+             mBig.json and hilbert --codim 3 on generators.json, for the
+             pairs with t <= 5 and d <= 2, seeds 0..1, at the same primes;
+             the directory reads DIR in each record
 
 Run from the root of a checkout, optionally naming the families:
 
@@ -23,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 
 from acmcurves.cli import main
 
@@ -31,6 +37,7 @@ SCENARIO_SEEDS = ([(p, range(8)) for p in (3, 5, 7, 11, 101)]
                   + [(p, range(3)) for p in (32003, 2147483629)])
 PAIRS = [(t, r, d) for d in (1, 2, 3) for t in range(2, 7) for r in range(1, t)]
 PAIR_PRIMES = (5, 101, 32003, 2147483629)
+LIFT_PAIRS = [(t, r, d) for t, r, d in PAIRS if t <= 5 and d <= 2]
 
 
 def _scenario_commands():
@@ -51,10 +58,22 @@ def _pair_commands(command):
                        "--prime", str(prime), "--seed", str(seed)]
 
 
+def _lift_commands(out_dir):
+    for prime in PAIR_PRIMES:
+        for t, r, d in LIFT_PAIRS:
+            for seed in range(2):
+                yield ["construct", "--t", str(t), "--r", str(r), "--d", str(d),
+                       "--prime", str(prime), "--seed", str(seed), "--out-dir", out_dir]
+                yield ["intersect", "--a", f"{out_dir}/mSmall.json", "--b", f"{out_dir}/mBig.json"]
+                yield ["hilbert", "--input", f"{out_dir}/generators.json", "--codim", "3"]
+
+
+# each family lists its commands, given a directory they may write to
 FAMILIES = {
-    "scenario": _scenario_commands,
-    "verify": lambda: _pair_commands("verify"),
-    "construct": lambda: _pair_commands("construct"),
+    "scenario": lambda out_dir: _scenario_commands(),
+    "verify": lambda out_dir: _pair_commands("verify"),
+    "construct": lambda out_dir: _pair_commands("construct"),
+    "lift": _lift_commands,
 }
 
 
@@ -69,9 +88,10 @@ def _record(argv: list[str]) -> str:
 def digest(family: str) -> tuple[str, int]:
     """(sha256 of the family's records, number of commands)."""
     h, count = hashlib.sha256(), 0
-    for argv in FAMILIES[family]():
-        h.update(_record(argv).encode())
-        count += 1
+    with tempfile.TemporaryDirectory() as out_dir:
+        for argv in FAMILIES[family](out_dir):
+            h.update(_record(argv).replace(out_dir, "DIR").encode())
+            count += 1
     return h.hexdigest(), count
 
 
