@@ -21,11 +21,6 @@ from .matforms import FormMatrix, SkewFormMatrix, _minors, laplace, maximal_mino
 from .ring import DEFAULT_PRIME, Form, PolyRing, random_form
 
 
-class DegenerateSample(ValueError):
-    """A random sample missed the general position the construction needs
-    (a maximal minor vanished); drawing again with a fresh seed is the fix."""
-
-
 @dataclass(frozen=True)
 class ConstructionPair:
     """The (M_small, M_big) pair with the embedded-transpose layout."""
@@ -57,6 +52,13 @@ class ConstructionPair:
         """The maximal minors of M_small and of M_big (maximal_minors), one
         subset table each, taken once per pair."""
         return tuple(maximal_minors(self.m_small)), tuple(maximal_minors(self.m_big))
+
+    @cached_property
+    def generators(self) -> tuple[Form, ...]:
+        """The 2t-2r+1 generator forms of gorenstein_generators in order, zero
+        ones included: form i is +-principal Pfaffian i of skew_matrix_G."""
+        small, big = self.minors
+        return (*small, *big[self.r + 1:])
 
 
 def _random_matrix(ring: PolyRing, rows: int, cols: int, d: int, rng: random.Random) -> FormMatrix:
@@ -135,8 +137,10 @@ def gorenstein_generators(pair: ConstructionPair) -> IdealPresentation:
     """Generators of the intersection ideal: all maximal minors of M_small,
     plus the maximal minors of M_big that delete one embedded column.
 
-    That is 2t-2r+1 forms: t-r+1 of degree d(t-r) and t-r of degree dt.
-    A zero minor raises DegenerateSample.
+    That is the 2t-2r+1 forms of pair.generators, t-r+1 of degree d(t-r) and
+    t-r of degree dt; a zero one is left out, which keeps the ideal. A zero
+    one means a scheme that meets every coordinate hyperplane (by minimality
+    of the Buchsbaum-Eisenbud resolution, harness module docstring).
 
     They generate I_{C_t} + I_{C_{t-r}}: the other r+1 maximal minors of
     M_big, those that delete a free column, lie in the ideal of M_small's.
@@ -145,12 +149,8 @@ def gorenstein_generators(pair: ConstructionPair) -> IdealPresentation:
     layout ConstructionPair checks), so the t-r rowed minor of every term
     is zero or +-a maximal minor of M_small.
     """
-    small, big = pair.minors
-    gens = [*small, *big[pair.r + 1:]]
-    zeros = [i for i, g in enumerate(gens) if g.is_zero]
-    if zeros:
-        raise DegenerateSample(f"zero maximal minor: generator {zeros[0]}")
-    return IdealPresentation(ring=pair.m_big.ring, generators=tuple(gens))
+    return IdealPresentation(ring=pair.m_big.ring,
+                             generators=tuple(g for g in pair.generators if not g.is_zero))
 
 
 def skew_matrix_G(pair: ConstructionPair) -> SkewFormMatrix:

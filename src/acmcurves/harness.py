@@ -22,15 +22,21 @@ socle degree s is the top twist of the resolution minus 3, so
 (I + x_v)_{s+1} = R_{s+1} is the emptiness test, and its values through s
 are the h-vector. No Hilbert function in four variables is computed.
 
+Every entry of skew_matrix_G is zero or of positive degree, so when the
+Pfaffians generate an ideal of grade 3 the Buchsbaum-Eisenbud resolution
+is minimal, and a minimal resolution has no zero generator. A sample with
+a zero generator therefore has grade <= 2: its scheme has positive
+dimension and meets every coordinate hyperplane, the blocked sample that
+the emptiness test already reports. No draw needs a case of its own.
+
 run_scenario measures its construction pairs (ex-11, ex-26, ex-2d3) the
 same way, through the same helper: their ideal I_{C_t} + I_{C_{t-r}} is the
 Gorenstein ideal J of gorenstein_generators, for every pair the layout
 admits (gorenstein_generators says why). A sample whose scheme meets every
 coordinate hyperplane gets no length, and its failure says so: the lift's
 regularity certificate needs (J + x_v)_m = R_m for some v and m, so it
-could certify none either. A sample with a zero generator has no Pfaffian
-structure and is measured by the lift on the pair's maximal minors; a
-failed identity fails the report. _by_structure states both failures once.
+could certify none either. A failed identity fails the report.
+_by_structure states both failures once.
 
 Intersection multiplicity is counted scheme-theoretically (the stabilized
 Hilbert value is the length of the intersection scheme); reports say
@@ -49,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import formulas
-from .construct import (ConstructionPair, DegenerateSample, _random_matrix, build_uniform_pair,
-                        embed_pair, gorenstein_generators, skew_matrix_G)
+from .construct import (ConstructionPair, _random_matrix, build_uniform_pair, embed_pair,
+                        gorenstein_generators, skew_matrix_G)
 from .hilbert import (HilbertProfile, IdealPresentation, artinian_reduction,
                       hilbert_function, minimal_generator_degrees)
 from .matforms import FormMatrix, SkewFormMatrix, maximal_minors, principal_pfaffians
@@ -165,14 +171,14 @@ def _by_structure(pair: ConstructionPair, gens: IdealPresentation, timings: dict
     "hilbert".
 
     identity says whether principal Pfaffian i of skew_matrix_G(pair) is
-    +-generator i; when it fails, nothing else is computed. Then, with s
-    the socle degree of the expected resolution, measured is (h-vector, J)
-    from the first x_v in x_3, ..., x_0 with (I + x_v)_{s+1} = R_{s+1}, J
-    the image of I in R/(x_v). failure says why measured is None, and is
-    None otherwise.
+    +-form i of pair.generators, zero ones included; when it fails, nothing
+    else is computed. Then, with s the socle degree of the expected
+    resolution, measured is (h-vector, J) from the first x_v in x_3, ...,
+    x_0 with (I + x_v)_{s+1} = R_{s+1}, J the image of I in R/(x_v).
+    failure says why measured is None, and is None otherwise.
     """
     t0 = time.perf_counter()
-    identity = _matches(principal_pfaffians(skew_matrix_G(pair)), gens.generators)
+    identity = _matches(principal_pfaffians(skew_matrix_G(pair)), pair.generators)
     timings["pfaffian"] = time.perf_counter() - t0
     if not identity:
         return False, "principal Pfaffians of the skew matrix are not the generators", None
@@ -189,10 +195,11 @@ def _by_structure(pair: ConstructionPair, gens: IdealPresentation, timings: dict
 
 
 def pfaffian_span_check(pair: ConstructionPair) -> bool:
-    """True iff principal Pfaffian i of skew_matrix_G is +-generator i, so both sets
-    generate one ideal: upper deletions give +-det of the embedded transpose minus
-    a row, and the lower ones follow by generalized Laplace (skew_matrix_G)."""
-    return _matches(principal_pfaffians(skew_matrix_G(pair)), gorenstein_generators(pair).generators)
+    """True iff principal Pfaffian i of skew_matrix_G is +-form i of pair.generators,
+    so both sets generate one ideal: upper deletions give +-det of the embedded
+    transpose minus a row, and the lower ones follow by generalized Laplace
+    (skew_matrix_G)."""
+    return _matches(principal_pfaffians(skew_matrix_G(pair)), pair.generators)
 
 
 def perturbed_pfaffian_span_check(pair: ConstructionPair, rng: random.Random) -> bool:
@@ -203,7 +210,7 @@ def perturbed_pfaffian_span_check(pair: ConstructionPair, rng: random.Random) ->
     the expected outcome is False (with overwhelming probability at large p).
     """
     skew = _perturbed(skew_matrix_G(pair), pair.t - pair.r + 1, rng)
-    return _matches(principal_pfaffians(skew), gorenstein_generators(pair).generators)
+    return _matches(principal_pfaffians(skew), pair.generators)
 
 
 def _perturbed(g: SkewFormMatrix, top: int, rng: random.Random) -> SkewFormMatrix:
@@ -227,11 +234,11 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
     the length, and the generator degrees of the image of I in R/(x_v)
     (_by_structure).
 
-    Random entries realize "general" ones; if a sample is degenerate (a zero
-    minor, DegenerateSample) or no coordinate hyperplane misses its scheme,
+    Random entries realize "general" ones; if no coordinate hyperplane misses
+    a sample's scheme (a zero generator is such a sample, module docstring),
     the pair is rebuilt with the next seed, at most MAX_RESEEDS times, before
-    reporting failure. Every other exception propagates: a reseed must not
-    hide a fault in the computation.
+    reporting failure. Every exception propagates: a reseed must not hide a
+    fault in the computation.
     """
     ring = PolyRing(prime, 4)
     params = {"t": t, "r": r, "d": d, "p": prime, "seed": seed}
@@ -242,17 +249,12 @@ def verify_construction(t: int, r: int, d: int = 1, seed: int = 0,
     report.expected_h_vector = expected_h
     report.generator_degrees_expected = shape.step(1)
 
-    last_error = "no attempt ran"
     for attempt in range(MAX_RESEEDS + 1):
         used_seed = seed + attempt
         params["seed"] = used_seed
         t0 = time.perf_counter()
-        try:
-            pair = build_uniform_pair(t, r, d, random.Random(used_seed), ring=ring)
-            gens = gorenstein_generators(pair)
-        except DegenerateSample as exc:
-            last_error = f"{exc} (seed {used_seed})"
-            continue
+        pair = build_uniform_pair(t, r, d, random.Random(used_seed), ring=ring)
+        gens = gorenstein_generators(pair)
         report.timings["construct"] = time.perf_counter() - t0
 
         report.pfaffian_span_equal, failure, measured = _by_structure(pair, gens, report.timings)
@@ -332,22 +334,6 @@ def _mixed_degree_matrix(ring: PolyRing, rng: random.Random) -> FormMatrix:
     return FormMatrix(ring, ent, [[3, 2, 1], [3, 2, 1]])
 
 
-def _measure_pair(pair: ConstructionPair, report: VerificationReport) -> None:
-    """Set report.observed_degree to the length of R/(I_{C_t} + I_{C_{t-r}}),
-    the ideal of gorenstein_generators, by structure (module docstring): a
-    degenerate sample gets the lift's. A blocked sample or a failed
-    identity gets none, and report.failure says which."""
-    try:
-        gens = gorenstein_generators(pair)
-    except DegenerateSample:
-        report.observed_degree, _ = _count_intersection([*pair.minors[0], *pair.minors[1]],
-                                                        pair.m_big.ring)
-        return
-    _, report.failure, measured = _by_structure(pair, gens, report.timings)
-    if measured is not None:
-        report.observed_degree = sum(measured[0])
-
-
 def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
                  prime: int = DEFAULT_PRIME) -> VerificationReport:
     """Scripted intersection counts.
@@ -359,8 +345,11 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
               with the two first-column entries, case B with the unique cubic
               in the ideal (the minor of columns 2-3) and a fresh cubic.
 
-    The construction pairs are measured by structure (_measure_pair,
-    gorenstein_generators); ex-mixed, no Pfaffian pair, by the lift.
+    The construction pairs get the length of R/(I_{C_t} + I_{C_{t-r}}), the
+    ideal of gorenstein_generators, by structure (_by_structure, module
+    docstring); a blocked sample, a zero generator included, or a failed
+    identity gets none, and the failure says which. ex-mixed, no Pfaffian
+    pair, is measured by the lift.
     """
     if scenario_id not in SCENARIO_SEEDS:
         raise ValueError(f"unknown scenario {scenario_id!r}")
@@ -391,7 +380,10 @@ def run_scenario(scenario_id: str, d: int = 2, seed: int | None = None,
             params["d"] = d
             pair, expected = build_uniform_pair(2, 1, d, rng, ring=ring), 2 * d**3
         report.expected_degree = expected
-        _measure_pair(pair, report)
+        _, report.failure, measured = _by_structure(pair, gorenstein_generators(pair),
+                                                    report.timings)
+        if measured is not None:
+            report.observed_degree = sum(measured[0])
 
     report.timings["total"] = time.perf_counter() - t0
     return report

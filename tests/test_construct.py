@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from acmcurves.construct import (ConstructionPair, DegenerateSample, build_linear_pair,
-                                 build_uniform_pair, embed_pair, gorenstein_generators,
-                                 skew_matrix_G, union_matrix)
-from acmcurves.hilbert import IdealPresentation, ideal_piece_dim
+from acmcurves.construct import (ConstructionPair, build_linear_pair, build_uniform_pair,
+                                 embed_pair, gorenstein_generators, skew_matrix_G,
+                                 union_matrix)
+from acmcurves.harness import pfaffian_span_check
+from acmcurves.hilbert import IdealPresentation, artinian_reduction, ideal_piece_dim
 from acmcurves.matforms import FormMatrix, maximal_minors
 from acmcurves.ring import PolyRing, random_form
 from test_matforms import naive_det
@@ -208,11 +209,16 @@ class TestGenerators:
         assert sorted(g.degree for g in gens.generators) == [1, 1, 2]
 
     def test_zero_minor_is_a_degenerate_sample(self, ring):
-        # M_small = [x0, 0]: the minor deleting column 0 is the zero entry
+        # M_small = [x0, 0]: the minor deleting column 0 is the zero entry;
+        # the ideal then has grade <= 2, so its scheme meets every coordinate
+        # plane and has no Artinian reduction
         small = FormMatrix(ring, [[ring.variable(0), ring.zero(1)]], [[1, 1]])
         pair = embed_pair(small, 2, random.Random(10))
-        with pytest.raises(DegenerateSample, match="zero maximal minor: generator 0"):
-            gorenstein_generators(pair)
+        assert pair.generators[0].is_zero and len(pair.generators) == 3
+        gens = gorenstein_generators(pair)
+        assert gens.generators == pair.generators[1:]
+        assert pfaffian_span_check(pair) is True
+        assert artinian_reduction(gens, 2) is None
 
     @pytest.mark.parametrize("t,r", GRID)
     def test_generator_count(self, t, r):

@@ -188,6 +188,11 @@ class TestHilbertFromResolution:
         with pytest.raises(ValueError, match="negative entries"):
             hilbert_from_resolution(shape)
 
+    def test_trailing_zeros_are_stripped(self):
+        # N(z) = 1 - 2z + z^2, the z^3 terms cancelling: (1 - z)^2 leaves h = (1)
+        shape = BettiShape(2, ((1, 1, 2), (2, 2, 1), (1, 3, 1), (2, 3, 1)))
+        assert hilbert_from_resolution(shape) == ((1,), 1)
+
     def test_inexact_division_reported(self):
         shape = BettiShape(codimension=3, terms=((1, 1, 1),))
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ from collections import Counter
 import pytest
 
 from acmcurves import cli, construct, formulas, harness, hilbert, jsonio
-from acmcurves.construct import (DegenerateSample, build_linear_pair, build_uniform_pair,
-                                 embed_pair, gorenstein_generators)
+from acmcurves.construct import (build_linear_pair, build_uniform_pair, embed_pair,
+                                 gorenstein_generators)
 from acmcurves.harness import (SCENARIO_SEEDS, conjecture_evidence, intersect_count,
                                perturbed_pfaffian_span_check, pfaffian_span_check,
                                rational_point_oracle, run_scenario, tensor_views,
@@ -18,6 +18,11 @@ from acmcurves.ring import PolyRing, random_form
 @pytest.fixture
 def ring():
     return PolyRing()
+
+
+def zero_generator_pair():
+    """A real draw with a zero generator: (t, r, d) = (2, 1, 1) at p = 3, seed 15."""
+    return build_uniform_pair(2, 1, 1, random.Random(15), ring=PolyRing(3, 4))
 
 
 def twisted_cubic(ring):
@@ -98,42 +103,29 @@ class TestVerifyConstruction:
             verify_construction(4, 2, 1, seed=5)
         assert len(calls) == 1
 
-    def test_degenerate_sample_is_reseeded(self, monkeypatch):
-        real = harness.gorenstein_generators
-        seen = []
-
-        def first_degenerate(pair):
-            seen.append(pair)
-            if len(seen) == 1:
-                raise DegenerateSample("zero maximal minor: generator 0")
-            return real(pair)
-        monkeypatch.setattr(harness, "gorenstein_generators", first_degenerate)
-        rep = verify_construction(4, 2, 1, seed=5)
-        assert rep.passed and rep.parameters["seed"] == 6
+    def test_degenerate_sample_is_reseeded(self):
+        # the (2, 1, 1) draw at p = 3, seed 15 has a zero generator: a
+        # blocked sample, rebuilt with the next seed
+        assert zero_generator_pair().generators[0].is_zero
+        rep = verify_construction(2, 1, 1, seed=15, prime=3)
+        assert rep.passed and rep.parameters["seed"] == 16
 
     def test_generators_built_once_per_attempt(self, monkeypatch):
         # the Pfaffian span check reuses the attempt's generators
-        real = harness.gorenstein_generators
         calls = []
-
-        def counted(pair):
-            calls.append(pair)
-            if len(calls) == 1:
-                raise DegenerateSample("zero maximal minor: generator 0")
-            return real(pair)
-        monkeypatch.setattr(harness, "gorenstein_generators", counted)
-        rep = verify_construction(4, 2, 1, seed=5)
+        _recording(monkeypatch, harness, "gorenstein_generators", calls)
+        rep = verify_construction(2, 1, 1, seed=15, prime=3)
         assert rep.passed and rep.pfaffian_span_equal is True
-        assert rep.parameters["seed"] == 6 and len(calls) == 2
+        assert rep.parameters["seed"] == 16 and len(calls) == 2
 
     def test_degenerate_samples_exhaust_the_reseeds(self, monkeypatch):
-        def always(pair):
-            raise DegenerateSample("zero maximal minor: generator 0")
-        monkeypatch.setattr(harness, "gorenstein_generators", always)
-        rep = verify_construction(3, 1, 1, seed=2)
-        assert not rep.passed
-        assert rep.failure == ("genericity failure after 4 attempts: "
-                               "zero maximal minor: generator 0 (seed 5)")
+        monkeypatch.setattr(harness, "build_uniform_pair",
+                            lambda t, r, d, rng, ring: zero_generator_pair())
+        rep = verify_construction(2, 1, 1, seed=15, prime=3)
+        assert not rep.passed and rep.pfaffian_span_equal is True
+        assert rep.failure == ("genericity failure after 4 attempts: every coordinate "
+                               "hyperplane meets the scheme: no x_v with (I + x_v) = R "
+                               "in degree 2 (seed 18)")
 
     def test_failed_reduction_is_reseeded(self, monkeypatch):
         # asked one degree short, at the socle degree, every section of these
@@ -230,16 +222,33 @@ def test_rank_and_lift_section_searches_agree():
             m = max(formulas.expected_betti(t, r, d).step(3)) - 2
             for seed in range(8):
                 pair = build_uniform_pair(t, r, d, random.Random(seed), ring=PolyRing(prime, 4))
-                try:
-                    gens = gorenstein_generators(pair)
-                except DegenerateSample:
-                    continue
+                gens = gorenstein_generators(pair)
                 reduction = hilbert.artinian_reduction(gens, m)
                 v = None if reduction is None else reduction[0]
                 assert hilbert._regularity_witness(gens, m) == v, (prime, t, r, d, seed)
                 found[v] += 1
     # the small fields reach every outcome, blocked samples included
     assert set(found) == {3, 2, 1, 0, None}
+
+
+def test_zero_generator_draws_are_blocked_samples():
+    # every entry of skew_matrix_G is zero or of positive degree, so at grade 3
+    # the Buchsbaum-Eisenbud resolution is minimal and has no zero generator:
+    # a zero generator means a scheme that meets every coordinate plane
+    zero_draws = []
+    for t, r in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3)):
+        socle = max(formulas.expected_betti(t, r, 1).step(3)) - 3
+        for seed in range(60):
+            pair = build_uniform_pair(t, r, 1, random.Random(seed), ring=PolyRing(3, 4))
+            if not any(g.is_zero for g in pair.generators):
+                continue
+            zero_draws.append((t, r, seed))
+            assert pfaffian_span_check(pair) is True, (t, r, seed)
+            gens = gorenstein_generators(pair)
+            assert hilbert.artinian_reduction(gens, socle + 1) is None, (t, r, seed)
+            assert intersect_count(pair.m_small, pair.m_big)[0] is None, (t, r, seed)
+    assert len(zero_draws) >= 6
+    assert {(t, t - 1, seed) for t in (2, 3, 4) for seed in (15, 24)} <= set(zero_draws)
 
 
 class TestPfaffianSpan:
@@ -427,33 +436,30 @@ def _recording(monkeypatch, module, name, calls):
 class TestScenarioStructure:
     """ex-11, ex-26 and ex-2d3 take their length from the Pfaffian identity
     and one Artinian reduction, their ideal being that of
-    gorenstein_generators; a degenerate sample takes it from the lift on the
-    pair's minors, and a blocked one gets none and names why."""
+    gorenstein_generators; a blocked sample, one with a zero generator
+    included, gets none and names why."""
 
     def test_structural_length_is_the_lift_length(self, monkeypatch):
-        pairs, degenerate = [], []
+        pairs = []
         _recording(monkeypatch, harness, "gorenstein_generators", pairs)
-        _recording(monkeypatch, harness, "_count_intersection", degenerate)
-        structural = non_structural = 0
+        structural = blocked = 0
         for prime in (3, 5, 32003, 2147483629):
             for scenario, d in PAIR_SCENARIOS:
                 for seed in range(2 if prime > 5 else 5):
-                    before = len(degenerate)
                     rep = run_scenario(scenario, d=d, seed=seed, prime=prime)
-                    fell_back = len(degenerate) > before
                     pair = pairs[-1]
                     # on a blocked sample the lift certifies no length either
                     lifted, _ = intersect_count(pair.m_small, pair.m_big)
                     assert rep.observed_degree == lifted, (scenario, d, seed, prime)
-                    blocked = not fell_back and rep.observed_degree is None
-                    assert rep.failure == (_blocked(pair) if blocked else None)
-                    if fell_back or blocked:
-                        non_structural += 1
+                    if rep.observed_degree is None:
+                        assert rep.failure == _blocked(pair)
+                        blocked += 1
                     else:
+                        assert rep.failure is None
                         structural += 1
                         assert lifted == rep.expected_degree, (scenario, d, seed, prime)
         # over the small fields some schemes meet every coordinate plane
-        assert 0 < non_structural < structural
+        assert 0 < blocked < structural
 
     def test_takes_no_four_variable_lift_or_rank(self, monkeypatch):
         seen = []
@@ -480,22 +486,20 @@ class TestScenarioStructure:
         # the reduction is patched out, so any lift here would be the fallback
         assert counted == [] and lifted == []
 
-    def test_degenerate_sample_falls_back(self, monkeypatch):
-        def degenerate(pair):
-            raise DegenerateSample("zero maximal minor: generator 0")
-        monkeypatch.setattr(harness, "gorenstein_generators", degenerate)
-        rep = run_scenario("ex-2d3", d=2)
-        assert rep.passed and rep.observed_degree == 16
-
     def test_degenerate_sample_takes_each_matrix_minors_once(self, monkeypatch):
-        # at p = 3 this sample has a zero generator, so it is measured by the lift
-        taken, counted = [], []
+        # at p = 3 this sample has a zero generator: a blocked sample, with
+        # no fallback to the lift
+        taken, counted, lifted, pairs = [], [], [], []
         for module in (construct, harness):
             _recording(monkeypatch, module, "maximal_minors", taken)
         _recording(monkeypatch, harness, "_count_intersection", counted)
+        _recording(monkeypatch, hilbert, "_lift", lifted)
+        _recording(monkeypatch, harness, "gorenstein_generators", pairs)
         rep = run_scenario("ex-2d3", d=1, seed=15, prime=3)
-        assert len(counted) == 1 and rep.observed_degree is None
+        assert pairs[0].generators[0].is_zero
+        assert rep.observed_degree is None and rep.failure == _blocked(pairs[0])
         assert [(m.rows, m.cols) for m in taken] == [(1, 2), (2, 3)]
+        assert counted == [] and {ideal.ring.nvars for ideal in lifted} == {3}
 
     @pytest.mark.parametrize("run,shapes", [
         (lambda: run_scenario("ex-26"), [(3, 4), (5, 6)]),
@@ -534,3 +538,15 @@ class TestConjectureEvidence:
         assert summary["resolved"] + summary["unresolved"] == 8
         if summary["max_observed"] is not None:
             assert summary["max_observed"] <= summary["bound"]
+
+    def test_unresolved_and_above_bound_counts_are_reported(self, monkeypatch, capsys):
+        bound = formulas.bound_linear(2, 1)
+        counts = iter([None, bound + 1, bound, None])
+        monkeypatch.setattr(harness, "intersect_count", lambda a, b: (next(counts), None))
+        summary = conjecture_evidence(2, 1, trials=4, seed=7)
+        assert summary == {"t": 2, "r": 1, "bound": bound, "trials": 4, "resolved": 2,
+                           "unresolved": 2, "max_observed": bound + 1,
+                           "violations": [{"seed": 8, "count": bound + 1}]}
+        assert capsys.readouterr().err == (
+            f"WARNING: observed intersection count above the bound {bound} at (t=2, r=1): "
+            f"[{{'seed': 8, 'count': {bound + 1}}}]\n")

@@ -280,6 +280,27 @@ class TestDeterminant:
         with pytest.raises(ValueError, match="degree mismatch"):
             determinant(FormMatrix(ring, [[x[0], x[1] * x[1]], [x[2], x[3]]]))
 
+    def test_subset_table_caps_refuse_before_the_level_is_built(self, ring, monkeypatch):
+        # a 3x3 determinant expands along one row of its bordered 6x6 skew
+        # matrix: 7 row sets, then a level of 3 quadrics (30 coefficients)
+        # and one of 3 quartics (105)
+        m = random_matrix(ring, 3, 3, 2, random.Random(19))
+        sources = []
+        real = Form.mul_matrix
+        monkeypatch.setattr(Form, "mul_matrix", lambda f, b: sources.append(b) or real(f, b))
+        monkeypatch.setattr(matforms, "MAX_ARRAY_ENTRIES", 41)
+        with pytest.raises(ValueError, match="level 2 too large: 7 subsets down to it times 6 "
+                                             "rows or columns make 42 \\(the limit is 41\\)"):
+            determinant(m)
+        assert sources == []  # refused in the top-down pass: no level built
+        monkeypatch.setattr(matforms, "MAX_ARRAY_ENTRIES", 104)
+        with pytest.raises(ValueError, match="level 4 too large: 3 subsets hold 105 "
+                                             "coefficients \\(the limit is 104\\)"):
+            determinant(m)
+        assert sources == [0, 0, 0]  # the quadrics, each from the empty set
+        monkeypatch.setattr(matforms, "MAX_ARRAY_ENTRIES", 105)
+        assert determinant(m) == naive_det(ring, m.entries)
+
 
 class TestDegreeMatrix:
     def test_all_linear(self, ring):
@@ -362,6 +383,12 @@ def test_selections_agree_with_minors_of_the_copied_submatrix(p):
             assert got.degree == sum(m.degree_matrix[i][j] for i, j in zip(rs, cs))
             zero_minors += got.is_zero
     assert zero_minors > 100
+
+
+def test_repr_and_equality(ring):
+    m = random_matrix(ring, 2, 3, 1, random.Random(41))
+    assert repr(m) == "FormMatrix(2x3 over PolyRing(p=32003, nvars=4))"
+    assert m == FormMatrix(ring, m.entries) and (m == m.entries) is False
 
 
 def test_small_minor_of_a_large_matrix_answers(ring):

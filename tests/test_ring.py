@@ -54,6 +54,9 @@ class TestFieldSpec:
         with pytest.raises(ValueError, match="modulus 2146654199 is not prime"):
             PolyRing(2146654199)
 
+    def test_below_two_is_not_prime(self):
+        assert not is_prime(0) and not is_prime(1) and is_prime(2)
+
     def test_accepts_small_primes(self):
         assert PolyRing(7).p == 7
         assert PolyRing(101).p == 101
@@ -273,6 +276,20 @@ class TestRingContext:
         assert hash(ring.zero(2)) == hash(ring.zero(5)) == hash(cancelled)
         assert len({ring.zero(0), ring.zero(4), cancelled}) == 1
         assert x0 != ring.zero(1)
+
+    def test_equality_hash_and_repr(self, ring):
+        x = [ring.variable(i) for i in range(4)]
+        f = x[0] * x[1].scale(3) + x[2] * x[2] + ring.constant(5) * x[3] * x[3]
+        g = ring.form(2, [((0, 0, 0, 2), 5), ((0, 0, 2, 0), 1), ((1, 1, 0, 0), 3)])
+        assert f == g and hash(f) == hash(g) and len({f, g, x[0] * x[0]}) == 2
+        assert (x[0] == "x0") is False and x[0] != PolyRing(101).variable(0)
+        assert repr(f) == "3*x0*x1 + 1*x2^2 + 5*x3^2" and repr(ring.zero(2)) == "0"
+        assert repr(ring) == "PolyRing(p=32003, nvars=4)"
+
+    def test_scale_by_zero_and_one(self, ring):
+        f = ring.variable(0) * ring.variable(1)
+        assert f.scale(0).is_zero and f.scale(0).degree == 2
+        assert f.scale(1) is f and f.scale(ring.p + 1) is f
 
     def test_form_sums_repeated_monomials(self, ring):
         m = (1, 1, 0, 0)

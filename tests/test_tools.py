@@ -6,9 +6,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SPEC = importlib.util.spec_from_file_location("source_lines", ROOT / "tools" / "source_lines.py")
-source_lines = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(source_lines)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+source_lines = _load("source_lines")
+outputs_digest = _load("outputs_digest")
 
 SOURCE = '''"""Module docstring."""
 
@@ -43,3 +51,9 @@ def test_prints_every_module_and_the_totals():
     counts = [(int(code), int(non_blank)) for _, code, non_blank in rows]
     assert all(0 < code <= non_blank for code, non_blank in counts)
     assert total == ["total", str(sum(c for c, _ in counts)), str(sum(n for _, n in counts))]
+
+
+def test_degenerate_family_runs_its_14_commands():
+    # draws with a zero generator: no other family reaches them
+    sha, count = outputs_digest.digest("degenerate")
+    assert count == 14 and len(sha) == 64

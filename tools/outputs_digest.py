@@ -16,10 +16,14 @@ argv, exit code and stdout to its family's sha256; a refusal (exit 2) adds
              mBig.json and hilbert --codim 3 on generators.json, for the
              pairs with t <= 5 and d <= 2, seeds 0..1, at the same primes;
              the directory reads DIR in each record
+  degenerate draws with a zero generator, pinned: construct and verify
+             at p = 3 for (t, r, d) = (2,1,1), (3,2,1), (4,3,1) with seeds
+             15 and 24, and scenario ex-2d3 with d = 1 at p = 3, seeds 15
+             and 24
 
 Run from the root of a checkout, optionally naming the families:
 
-    PYTHONPATH=src python tools/outputs_digest.py [scenario|verify|construct ...]
+    PYTHONPATH=src python tools/outputs_digest.py [scenario|verify|construct|lift|degenerate ...]
 """
 
 from __future__ import annotations
@@ -68,12 +72,24 @@ def _lift_commands(out_dir):
                 yield ["hilbert", "--input", f"{out_dir}/generators.json", "--codim", "3"]
 
 
+def _degenerate_commands():
+    # draws at p = 3 whose pair has a zero generator, pinned, not searched for
+    for command in ("construct", "verify"):
+        for t, r in ((2, 1), (3, 2), (4, 3)):
+            for seed in (15, 24):
+                yield [command, "--t", str(t), "--r", str(r), "--d", "1", "--prime", "3",
+                       "--seed", str(seed)]
+    for seed in (15, 24):
+        yield ["scenario", "--id", "ex-2d3", "--d", "1", "--prime", "3", "--seed", str(seed)]
+
+
 # each family lists its commands, given a directory they may write to
 FAMILIES = {
     "scenario": lambda out_dir: _scenario_commands(),
     "verify": lambda out_dir: _pair_commands("verify"),
     "construct": lambda out_dir: _pair_commands("construct"),
     "lift": _lift_commands,
+    "degenerate": lambda out_dir: _degenerate_commands(),
 }
 
 
